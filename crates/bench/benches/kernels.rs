@@ -44,6 +44,16 @@ fn bench_deg(c: &mut Criterion) {
         .expect("simulates");
     g.bench_function("build_10k", |b| b.iter(|| black_box(build_deg(&result))));
     let base = build_deg(&result);
+    // Algorithm 1 over the built DEG, generating the induced DEG's virtual
+    // edges inside the sweep: the evaluator's path, comparable against
+    // `induce_10k` + `critical_path_10k`.
+    g.bench_function("critical_fused_10k", |b| {
+        b.iter_batched(
+            || base.clone(),
+            |mut d| black_box(critical::critical_path(&mut d)).total_delay,
+            BatchSize::LargeInput,
+        )
+    });
     g.bench_function("induce_10k", |b| {
         b.iter_batched(
             || base.clone(),

@@ -1,15 +1,19 @@
 //! Reusable DEG analysis scratch memory.
 //!
 //! Each evaluation on the DSE hot path builds a DEG (tens of thousands of
-//! vertices, hundreds of thousands of edges), induces it, and runs the
-//! Algorithm 1 dynamic program — all of whose storage used to be allocated
-//! per design point. A [`DegArena`] owns that storage between evaluations:
+//! vertices, hundreds of thousands of edges) and runs the Algorithm 1
+//! dynamic program over it, generating the induced DEG's virtual edges
+//! during the sweep — all of whose storage used to be allocated per
+//! design point. A [`DegArena`] owns that storage between evaluations:
 //!
 //! * the graph's own vectors (vertex times, edge list, CSR adjacency) are
 //!   handed to [`build_deg_in`](crate::build::build_deg_in) and travel
-//!   *inside* the returned [`Deg`] through `induce` and the critical-path
-//!   pass, coming back via [`DegArena::recycle`];
-//! * the DP arrays and topological-order buffers are borrowed by
+//!   *inside* the returned [`Deg`] through the critical-path pass (and
+//!   `induce`, where a caller materialises the induced DEG), coming back
+//!   via [`DegArena::recycle`];
+//! * the DP arrays, the topological-order buffers and the virtual-edge
+//!   generator's tables (skewed-endpoint flags, Rule 1 and Rule 2
+//!   candidate orders) are borrowed by
 //!   [`critical_path_in`](crate::critical::critical_path_in) and stay in
 //!   the arena.
 //!
@@ -18,19 +22,21 @@
 //! [`SimArena`](archx_sim::arena::SimArena), a `DegArena` belongs to one
 //! worker thread.
 
-use crate::graph::{Deg, DegParts, Edge, NodeId};
+use crate::critical::Best;
+use crate::graph::{Deg, DegParts, NodeId};
+use crate::induced::RuleScratch;
 
 /// Recyclable scratch buffers for DEG construction and analysis.
 ///
 /// ```
-/// use archx_deg::{arena::DegArena, build::build_deg_in, critical::critical_path_in, induce};
+/// use archx_deg::{arena::DegArena, build::build_deg_in, critical::critical_path_in};
 /// use archx_sim::{trace_gen, MicroArch, OooCore};
 /// let result = OooCore::new(MicroArch::baseline())
 ///     .run(&trace_gen::mixed_workload(500, 1))
 ///     .expect("simulates");
 /// let mut arena = DegArena::new();
 /// for _ in 0..3 {
-///     let mut deg = induce(build_deg_in(&mut arena, &result));
+///     let mut deg = build_deg_in(&mut arena, &result);
 ///     let path = critical_path_in(&mut arena, &mut deg);
 ///     assert!(path.total_delay > 0);
 ///     arena.recycle(deg); // reclaim the graph storage for the next round
@@ -40,18 +46,14 @@ use crate::graph::{Deg, DegParts, Edge, NodeId};
 pub struct DegArena {
     /// Graph storage awaiting the next `build_deg_in`.
     pub(crate) parts: DegParts,
-    /// Algorithm 1 DP: accumulated cost per node.
-    pub(crate) cost: Vec<u64>,
-    /// Algorithm 1 DP: accumulated delay per node.
-    pub(crate) delay: Vec<u64>,
-    /// Algorithm 1 DP: accumulated attributed delay per node.
-    pub(crate) attr: Vec<u64>,
-    /// Algorithm 1 DP: best incoming edge per node.
-    pub(crate) pred: Vec<Option<Edge>>,
+    /// Algorithm 1 DP: best value and incoming edge per node.
+    pub(crate) best: Vec<Best>,
     /// Counting-sort scratch for the topological order.
     pub(crate) topo_counts: Vec<u32>,
     /// Topological order of the current graph.
     pub(crate) topo_order: Vec<NodeId>,
+    /// Tables of the virtual-edge generator the critical-path sweep uses.
+    pub(crate) rules: RuleScratch,
 }
 
 impl DegArena {

@@ -11,9 +11,15 @@
 //! `t(end) − t(start)`, this tie-break pulls the path's origin back to
 //! `F1(I0)` (time 0) whenever the induced DEG connects it, making the
 //! critical-path length exactly the simulated runtime.
+//!
+//! The induced DEG is never built on this path. Its virtual edges depend
+//! only on the skewed-edge endpoints, so the sweep generates each
+//! vertex's virtual successors when it reaches the vertex, from tables
+//! prepared once per graph (see [`induced`](crate::induced)).
 
 use crate::arena::DegArena;
-use crate::graph::{Deg, Edge, NodeId, Stage};
+use crate::graph::{Deg, Edge, EdgeKind, NodeId, Stage};
+use crate::induced::VirtualEdges;
 use archx_sim::trace::Cycle;
 
 /// A constructed critical path.
@@ -43,13 +49,23 @@ impl CriticalPath {
     }
 }
 
-/// Runs Algorithm 1 on an induced DEG and returns the critical path ending
-/// at the last instruction's commit.
+/// Algorithm 1 state of one vertex: the best `(cost, delay, attributed
+/// delay)` of a path reaching it, and the source and kind of that path's
+/// last edge. One compact record per vertex keeps a relaxation's reads
+/// and writes together in memory.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Best {
+    value: (u64, u64, u64),
+    pred: Option<(NodeId, EdgeKind)>,
+}
+
+/// Runs Algorithm 1 and returns the critical path ending at the last
+/// instruction's commit.
 ///
-/// This is the no-clone entry point: it reuses the graph's storage and
-/// only mutates it by building (and caching) its CSR edge index. Call
-/// sites that cannot borrow the graph mutably can use
-/// [`critical_path_cloned`], which pays for a full graph copy.
+/// `deg` may be the built DEG or its induced form: the sweep generates
+/// the induced DEG's virtual edges itself, so both give the same path.
+/// The graph is only mutated by building (and caching) its CSR edge
+/// index.
 ///
 /// # Panics
 ///
@@ -58,9 +74,16 @@ pub fn critical_path(deg: &mut Deg) -> CriticalPath {
     critical_path_in(&mut DegArena::new(), deg)
 }
 
-/// Like [`critical_path`], but borrows the dynamic-program arrays and the
-/// topological-order buffers from `arena` instead of allocating them — the
-/// campaign hot path. The result is identical to [`critical_path`].
+/// Like [`critical_path`], but borrows the dynamic-program arrays, the
+/// topological-order buffers and the virtual-edge generator's tables
+/// from `arena` instead of allocating them — the campaign hot path. The
+/// result is identical to [`critical_path`].
+///
+/// Each vertex relaxes its stored out-edges first and then the virtual
+/// edges [`induce`](crate::induced::induce) would give it. On an
+/// induced graph a generated edge therefore duplicates an edge already
+/// relaxed with an equal or larger value, and the strict comparison
+/// never lets a duplicate win.
 ///
 /// # Panics
 ///
@@ -69,6 +92,7 @@ pub fn critical_path_in(arena: &mut DegArena, deg: &mut Deg) -> CriticalPath {
     assert!(deg.instr_count() > 0, "empty DEG");
     let _timed = archx_telemetry::span("deg/critical");
     deg.freeze();
+    let deg = &*deg;
     let n = deg.node_count();
     // DP value per node: (cost, delay, attributed delay). Cost implements
     // Algorithm 1; delay pulls the path origin back to time zero; the
@@ -76,93 +100,66 @@ pub fn critical_path_in(arena: &mut DegArena, deg: &mut Deg) -> CriticalPath {
     // and pipeline edges over virtual hops, so attribution loses as little
     // of the runtime as possible.
     let DegArena {
-        cost,
-        delay,
-        attr,
-        pred,
+        best,
         topo_counts,
         topo_order,
+        rules,
         ..
     } = arena;
-    cost.clear();
-    cost.resize(n, 0u64);
-    delay.clear();
-    delay.resize(n, 0u64);
-    attr.clear();
-    attr.resize(n, 0u64);
-    pred.clear();
-    pred.resize(n, None);
+    best.clear();
+    best.resize(n, Best::default());
     deg.topo_order_into(topo_counts, topo_order);
+    let mut virtuals = VirtualEdges::new(rules, deg, topo_order);
 
     for &node in topo_order.iter() {
-        let c0 = cost[node as usize];
-        let d0 = delay[node as usize];
-        let a0 = attr[node as usize];
-        for e in deg.out_edges(node) {
-            let w = deg.interval(e);
-            let ec = if e.kind.has_cost() { w } else { 0 };
-            let ea = if e.kind == crate::graph::EdgeKind::Virtual {
-                0
-            } else {
-                w
-            };
-            let (nc, nd, na) = (c0 + ec, d0 + w, a0 + ea);
-            let t = e.to as usize;
-            if (nc, nd, na) > (cost[t], delay[t], attr[t]) {
-                cost[t] = nc;
-                delay[t] = nd;
-                attr[t] = na;
-                pred[t] = Some(*e);
+        let (c0, d0, a0) = best[node as usize].value;
+        let t0 = deg.time(node);
+        let mut relax = |to: NodeId, kind: EdgeKind| {
+            let w = deg.time(to).saturating_sub(t0);
+            let ec = if kind.has_cost() { w } else { 0 };
+            let ea = if kind == EdgeKind::Virtual { 0 } else { w };
+            let value = (c0 + ec, d0 + w, a0 + ea);
+            let slot = &mut best[to as usize];
+            if value > slot.value {
+                *slot = Best {
+                    value,
+                    pred: Some((node, kind)),
+                };
             }
+        };
+        for e in deg.out_edges(node) {
+            relax(e.to, e.kind);
         }
+        virtuals.visit(node, |to| relax(to, EdgeKind::Virtual));
     }
 
     let sink = deg.node(deg.instr_count() - 1, Stage::C);
     let mut edges = Vec::new();
     let mut cur = sink;
-    while let Some(e) = pred[cur as usize] {
-        edges.push(e);
-        cur = e.from;
+    while let Some((from, kind)) = best[cur as usize].pred {
+        edges.push(Edge {
+            from,
+            to: cur,
+            kind,
+        });
+        cur = from;
+        // Every path edge goes forward, so a path has fewer edges than
+        // the graph has vertices. Generated edges are not stored, which
+        // is why the bound is not the edge count.
         assert!(
-            edges.len() <= deg.edge_count(),
+            edges.len() < n,
             "cycle in DEG predecessor chain — a non-forward edge slipped in"
         );
     }
     edges.reverse();
+    let (cost, total_delay, _) = best[sink as usize].value;
     CriticalPath {
-        cost: cost[sink as usize],
-        total_delay: delay[sink as usize],
+        cost,
+        total_delay,
         start: cur,
         end: sink,
         edges,
     }
-}
-
-/// Like [`critical_path`], for call sites that only hold a shared
-/// reference: **clones the entire graph** to build its CSR cache. On a
-/// multi-thousand-node DEG the copy dwarfs the DP itself, so every hot
-/// path should borrow mutably and call [`critical_path`] — the CSR
-/// default, which freezes the edge index in place and allocates nothing
-/// beyond the DP arrays — and reserve this variant for cold paths.
-///
-/// ```
-/// use archx_sim::{MicroArch, OooCore, trace_gen};
-/// use archx_deg::prelude::*;
-///
-/// let result = OooCore::new(MicroArch::baseline())
-///     .run(&trace_gen::mixed_workload(500, 1))
-///     .expect("simulates");
-/// let induced = induce(build_deg(&result));
-/// // Shared reference only: pays a full graph copy per call.
-/// let cloned = critical_path_cloned(&induced);
-/// // The CSR default borrows mutably and reuses the graph's storage.
-/// let mut owned = induced;
-/// assert_eq!(critical_path(&mut owned), cloned);
-/// assert_eq!(cloned.total_delay, result.trace.cycles);
-/// ```
-pub fn critical_path_cloned(deg: &Deg) -> CriticalPath {
-    let mut deg = deg.clone();
-    critical_path(&mut deg)
 }
 
 #[cfg(test)]
@@ -174,7 +171,7 @@ mod tests {
 
     fn path_for(trace: &[archx_sim::Instruction], arch: MicroArch) -> (CriticalPath, u64) {
         let r = OooCore::new(arch).run(trace).expect("simulates");
-        let mut deg = induce(build_deg(&r));
+        let mut deg = build_deg(&r);
         (critical_path(&mut deg), r.trace.cycles)
     }
 

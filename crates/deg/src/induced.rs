@@ -18,6 +18,13 @@
 //! virtual `R(I10)→C(I11)` edge of the paper's Figure 9(b): the first
 //! instruction's `F1` connects into the first skewed starts, and skewed
 //! ends with no onward connection link to the last instruction's commit.
+//!
+//! The rules depend only on the skewed-edge endpoints, so there are two
+//! ways to use them. [`induce`] materialises the virtual edges into the
+//! graph, for export, figures, statistics and the validation oracle.
+//! The critical-path sweep instead generates them per vertex as it
+//! visits the vertex (`VirtualEdges`), so the analysis hot path never
+//! stores them.
 
 use crate::graph::{Deg, EdgeKind, NodeId, Stage};
 use std::collections::HashSet;
@@ -177,6 +184,163 @@ pub fn induce(mut deg: Deg) -> Deg {
         deg.add_edge(from, to, EdgeKind::Virtual);
     }
     deg
+}
+
+/// [`RuleScratch::flags`] bit: the vertex starts a skewed edge.
+const START: u8 = 1;
+/// [`RuleScratch::flags`] bit: the vertex ends a skewed edge.
+const END: u8 = 2;
+/// Rule 1 and Rule 2 each connect to at most this many starts.
+const RULE_FANOUT: usize = 4;
+
+/// Buffers of the implicit rule generator, kept in
+/// [`DegArena`](crate::arena::DegArena) so a sweep allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct RuleScratch {
+    /// `START` / `END` bits per vertex.
+    flags: Vec<u8>,
+    /// Skewed starts in topological-key order (Rule 1 candidates).
+    by_key: Vec<NodeId>,
+    /// Skewed starts in `(instruction, key)` order (Rule 2 candidates).
+    by_instr: Vec<NodeId>,
+    /// Per instruction `i`: index in `by_instr` of the first start on an
+    /// instruction after `i`.
+    later: Vec<u32>,
+}
+
+/// The virtual edges [`induce`] would add, generated per vertex during a
+/// sweep in topological order instead of being stored in the graph.
+///
+/// [`VirtualEdges::visit`] must see every vertex, in the order the sweep
+/// was prepared with: Rule 1 is served by a cursor that only moves
+/// forward. The targets of a vertex are the same set `induce` connects it
+/// to, except that an edge `induce` skips as a duplicate of an existing
+/// edge is generated anyway.
+pub(crate) struct VirtualEdges<'a> {
+    deg: &'a Deg,
+    flags: &'a [u8],
+    by_key: &'a [NodeId],
+    by_instr: &'a [NodeId],
+    later: &'a [u32],
+    source: NodeId,
+    sink: NodeId,
+    /// Number of skewed starts visited so far: `by_key[cursor..]` are the
+    /// starts strictly after the current vertex.
+    cursor: usize,
+}
+
+impl<'a> VirtualEdges<'a> {
+    /// Prepares the generator for a sweep over `topo_order`, the graph's
+    /// topological order.
+    pub(crate) fn new(scratch: &'a mut RuleScratch, deg: &'a Deg, topo_order: &[NodeId]) -> Self {
+        let RuleScratch {
+            flags,
+            by_key,
+            by_instr,
+            later,
+        } = scratch;
+        flags.clear();
+        flags.resize(deg.node_count(), 0);
+        for e in deg.edges().iter().filter(|e| e.kind.is_skewed()) {
+            flags[e.from as usize] |= START;
+            flags[e.to as usize] |= END;
+        }
+        by_key.clear();
+        by_key.extend(
+            topo_order
+                .iter()
+                .copied()
+                .filter(|&v| flags[v as usize] & START != 0),
+        );
+        // Stable counting sort of `by_key` by instruction. Each bucket's
+        // fill cursor ends at the next bucket's start, which leaves
+        // `later[i]` pointing at the first start after instruction `i`.
+        let instrs = deg.instr_count() as usize;
+        later.clear();
+        later.resize(instrs + 1, 0);
+        for &s in by_key.iter() {
+            later[deg.locate(s).0 as usize + 1] += 1;
+        }
+        for i in 0..instrs {
+            later[i + 1] += later[i];
+        }
+        by_instr.clear();
+        by_instr.resize(by_key.len(), 0);
+        for &s in by_key.iter() {
+            let slot = &mut later[deg.locate(s).0 as usize];
+            by_instr[*slot as usize] = s;
+            *slot += 1;
+        }
+        let n = deg.instr_count();
+        VirtualEdges {
+            deg,
+            flags,
+            by_key,
+            by_instr,
+            later,
+            source: deg.node(0, Stage::F1),
+            sink: deg.node(n - 1, Stage::C),
+            cursor: 0,
+        }
+    }
+
+    /// Calls `f` with each virtual successor of `node`, the next vertex of
+    /// the sweep.
+    #[inline]
+    pub(crate) fn visit(&mut self, node: NodeId, mut f: impl FnMut(NodeId)) {
+        let flag = self.flags[node as usize];
+        if flag & START != 0 {
+            debug_assert_eq!(self.by_key[self.cursor], node, "sweep out of order");
+            self.cursor += 1;
+        }
+        if flag == 0 && node != self.source {
+            return;
+        }
+        let deg = self.deg;
+        if self.by_key.is_empty() {
+            // Fully parallel window: first fetch straight to last commit.
+            if deg.is_forward(node, self.sink) {
+                f(self.sink);
+            }
+            return;
+        }
+        // Rule 1: the starts sharing the earliest time after `node`; all
+        // are forward by construction.
+        let rule1 = &self.by_key[self.cursor..];
+        let mut onward = !rule1.is_empty();
+        if let Some(&first) = rule1.first() {
+            let t0 = deg.time(first);
+            for &s in rule1
+                .iter()
+                .take(RULE_FANOUT)
+                .take_while(|&&s| deg.time(s) == t0)
+            {
+                f(s);
+            }
+        }
+        // Rule 2: the starts on the closest later instruction that has
+        // any, kept only where they go forward.
+        let key = deg.topo_key(node);
+        let (_, instr, _) = key;
+        let rule2 = &self.by_instr[self.later[instr as usize] as usize..];
+        if let Some(&first) = rule2.first() {
+            let i0 = deg.locate(first).0;
+            for &s in rule2
+                .iter()
+                .take(RULE_FANOUT)
+                .take_while(|&&s| deg.locate(s).0 == i0)
+            {
+                if deg.topo_key(s) > key {
+                    f(s);
+                    onward = true;
+                }
+            }
+        }
+        // Exit anchor: a skewed end with no onward rule target.
+        if flag & END != 0 && !onward && deg.topo_key(self.sink) > key {
+            f(self.sink);
+        }
+    }
 }
 
 #[cfg(test)]

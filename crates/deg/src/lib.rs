@@ -13,10 +13,13 @@
 //! * [`induced`] — the **induced DEG** (Section 4.2): virtual edges added
 //!   by Rule 1 (connect via closest time) and Rule 2 (connect via closest
 //!   instruction sequence) so the critical path can chain consecutive
-//!   resource-usage dependencies;
+//!   resource-usage dependencies. [`induce`] materialises them for
+//!   export, figures and validation;
 //! * [`critical`] — **Algorithm 1**: dynamic-programming longest path over
 //!   a topological order, with edge costs chosen so the path is densely
-//!   composed of resource-usage dependencies;
+//!   composed of resource-usage dependencies. The sweep generates the
+//!   induced DEG's virtual edges as it goes, so it runs on the built DEG
+//!   directly and returns the same path as on the induced one;
 //! * [`bottleneck`] — resource contributions `c(b)` (Eq. 1) and their
 //!   weighted multi-workload aggregation (Eq. 2);
 //! * [`calipers`] — the *previous* DEG formulation (static weights,
@@ -28,11 +31,12 @@
 //! use archx_deg::prelude::*;
 //!
 //! let result = OooCore::new(MicroArch::baseline()).run(&trace_gen::mixed_workload(2_000, 1)).expect("simulates");
-//! let deg = build_deg(&result);
-//! let mut induced = induce(deg);
-//! let path = critical_path(&mut induced);
+//! let mut deg = build_deg(&result);
+//! let path = critical_path(&mut deg);
 //! // The new formulation is exact: path length == simulated runtime.
 //! assert_eq!(path.total_delay, result.trace.cycles);
+//! // The materialised induced DEG yields the very same path.
+//! assert_eq!(critical_path(&mut induce(deg)), path);
 //! ```
 
 pub mod arena;
@@ -51,9 +55,7 @@ pub mod prelude {
     pub use crate::arena::DegArena;
     pub use crate::bottleneck::{merge_reports, BottleneckReport, BottleneckSource, NUM_SOURCES};
     pub use crate::build::{build_deg, build_deg_in};
-    pub use crate::critical::{
-        critical_path, critical_path_cloned, critical_path_in, CriticalPath,
-    };
+    pub use crate::critical::{critical_path, critical_path_in, CriticalPath};
     pub use crate::graph::{Deg, EdgeKind, NodeId, Stage};
     pub use crate::induced::induce;
     pub use crate::validate::{
@@ -66,7 +68,7 @@ pub use arena::DegArena;
 pub use bottleneck::{merge_reports, BottleneckReport, BottleneckSource, NUM_SOURCES};
 pub use build::{build_deg, build_deg_in};
 pub use calipers::CalipersModel;
-pub use critical::{critical_path, critical_path_cloned, critical_path_in, CriticalPath};
+pub use critical::{critical_path, critical_path_in, CriticalPath};
 pub use graph::{Deg, Edge, EdgeKind, NodeId, Stage};
 pub use induced::induce;
 pub use validate::{

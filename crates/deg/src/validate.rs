@@ -3,10 +3,12 @@
 //! The paper's method rests on two exact identities — the DEG is acyclic
 //! with every edge weight equal to a measured stage interval (Table 2),
 //! and Algorithm 1's critical-path length equals the simulated runtime.
-//! This module machine-checks both, plus the agreement of the independent
-//! implementations grown across PRs (allocating vs arena builders, CSR vs
-//! cloned critical path), forming the oracle hierarchy every later
-//! optimisation must pass:
+//! This module machine-checks both, plus the agreement of independent
+//! implementations of the same computation (allocating vs arena
+//! builders, the critical-path sweep that generates the induced DEG's
+//! virtual edges vs the plain dynamic program over the materialised
+//! induced DEG), forming the oracle hierarchy every later optimisation
+//! must pass:
 //!
 //! 1. [`validate_deg`] — structure: acyclicity (every edge forward in the
 //!    topological key order), time-axis monotonicity along each
@@ -16,17 +18,19 @@
 //!    simulator's event record (with implicit weights, this *is* the
 //!    weight/interval consistency of Table 2);
 //! 3. [`validate_exactness`] — the end-to-end oracle: builders agree,
-//!    structure holds before and after inducing, `critical_path_in`
-//!    agrees with `critical_path_cloned`, and the path length equals
-//!    `SimResult` cycles.
+//!    structure holds before and after inducing, `critical_path_in` on
+//!    the built DEG, `critical_path_in` on the induced DEG and the plain
+//!    reference dynamic program on the induced DEG agree (as paths and as
+//!    bottleneck reports), and the path length equals `SimResult` cycles.
 //!
 //! Every failure increments a `verify/violation/<check>` telemetry
 //! counter and carries a stable machine-readable tag.
 
 use crate::arena::DegArena;
+use crate::bottleneck::analyze;
 use crate::build::{build_deg_window, build_deg_window_in};
-use crate::critical::{critical_path_cloned, critical_path_in, CriticalPath};
-use crate::graph::{Deg, EdgeKind, Stage};
+use crate::critical::{critical_path_in, CriticalPath};
+use crate::graph::{Deg, Edge, EdgeKind, Stage};
 use crate::induced::induce;
 use archx_sim::trace::SimResult;
 
@@ -174,16 +178,19 @@ pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(),
 
 /// The end-to-end oracle over a full simulation result: builds the DEG
 /// both ways (allocating and arena-recycled), validates structure and
-/// times before and after inducing, cross-checks `critical_path_in`
-/// against `critical_path_cloned`, and requires the path length to equal
-/// the simulated runtime exactly. Returns the critical path for reuse.
+/// times before and after inducing, requires `critical_path_in` on the
+/// built DEG, `critical_path_in` on the induced DEG and the plain
+/// reference dynamic program on the induced DEG to agree, and requires
+/// the path length to equal the simulated runtime exactly. Returns the
+/// critical path for reuse.
 ///
 /// # Errors
 ///
 /// Returns the first failing check: any [`validate_deg`] /
 /// [`validate_times`] tag, `deg/builders` (allocating vs arena builder
-/// divergence), `deg/csr_vs_cloned` (critical-path implementation
-/// divergence) or `deg/exactness` (path length != runtime).
+/// divergence), `deg/fused_vs_materialised` (a critical path or its
+/// bottleneck report differs between the three computations) or
+/// `deg/exactness` (path length != runtime).
 ///
 /// # Panics
 ///
@@ -210,7 +217,7 @@ pub fn validate_exactness_window(
     end: usize,
 ) -> Result<CriticalPath, ValidationError> {
     let mut arena = DegArena::new();
-    let built = build_deg_window_in(&mut arena, result, start, end);
+    let mut built = build_deg_window_in(&mut arena, result, start, end);
     let naive = build_deg_window(result, start, end);
     if built != naive {
         return Err(fail(
@@ -224,22 +231,40 @@ pub fn validate_exactness_window(
     }
     validate_deg(&built)?;
     validate_times(&built, result, start)?;
+    let path = critical_path_in(&mut arena, &mut built);
+    let report = analyze(&built, &path);
 
     let mut induced = induce(built);
     validate_deg(&induced)?;
     validate_times(&induced, result, start)?;
 
-    let cloned = critical_path_cloned(&induced);
-    let path = critical_path_in(&mut arena, &mut induced);
-    if path != cloned {
-        return Err(fail(
-            "deg/csr_vs_cloned",
-            format!(
-                "critical_path_in found (cost {}, delay {}), critical_path_cloned \
-                 (cost {}, delay {})",
-                path.cost, path.total_delay, cloned.cost, cloned.total_delay
-            ),
-        ));
+    for (name, other) in [
+        (
+            "critical_path_in on the induced DEG",
+            critical_path_in(&mut arena, &mut induced),
+        ),
+        (
+            "the reference DP on the induced DEG",
+            reference_critical_path(&mut induced),
+        ),
+    ] {
+        let other_report = analyze(&induced, &other);
+        if other != path || other_report != report {
+            return Err(fail(
+                "deg/fused_vs_materialised",
+                format!(
+                    "critical_path_in on the built DEG found (cost {}, delay {}, {} edges), \
+                     {name} (cost {}, delay {}, {} edges); reports equal: {}",
+                    path.cost,
+                    path.total_delay,
+                    path.len(),
+                    other.cost,
+                    other.total_delay,
+                    other.len(),
+                    other_report == report
+                ),
+            ));
+        }
     }
     let full = start == 0 && end == result.trace.events.len();
     if full && path.total_delay != result.trace.cycles {
@@ -261,6 +286,55 @@ pub fn validate_exactness_window(
         ));
     }
     Ok(path)
+}
+
+/// The plain Algorithm 1 dynamic program over the stored edges only: the
+/// reference [`critical_path_in`] is checked against on a materialised
+/// induced DEG. Kept deliberately simple and allocating.
+fn reference_critical_path(deg: &mut Deg) -> CriticalPath {
+    deg.freeze();
+    let n = deg.node_count();
+    let mut cost = vec![0u64; n];
+    let mut delay = vec![0u64; n];
+    let mut attr = vec![0u64; n];
+    let mut pred: Vec<Option<Edge>> = vec![None; n];
+    for node in deg.topo_order() {
+        let c0 = cost[node as usize];
+        let d0 = delay[node as usize];
+        let a0 = attr[node as usize];
+        for e in deg.out_edges(node) {
+            let w = deg.interval(e);
+            let ec = if e.kind.has_cost() { w } else { 0 };
+            let ea = if e.kind == EdgeKind::Virtual { 0 } else { w };
+            let (nc, nd, na) = (c0 + ec, d0 + w, a0 + ea);
+            let t = e.to as usize;
+            if (nc, nd, na) > (cost[t], delay[t], attr[t]) {
+                cost[t] = nc;
+                delay[t] = nd;
+                attr[t] = na;
+                pred[t] = Some(*e);
+            }
+        }
+    }
+    let sink = deg.node(deg.instr_count() - 1, Stage::C);
+    let mut edges = Vec::new();
+    let mut cur = sink;
+    while let Some(e) = pred[cur as usize] {
+        edges.push(e);
+        cur = e.from;
+        assert!(
+            edges.len() <= deg.edge_count(),
+            "cycle in DEG predecessor chain"
+        );
+    }
+    edges.reverse();
+    CriticalPath {
+        cost: cost[sink as usize],
+        total_delay: delay[sink as usize],
+        start: cur,
+        end: sink,
+        edges,
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +374,38 @@ mod tests {
                 .expect("simulates"),
         ] {
             validate_exactness(&r).expect("oracle holds under pressure");
+        }
+    }
+
+    #[test]
+    fn fused_sweep_matches_the_reference_dp() {
+        // Shapes with and without skewed edges, through one arena so the
+        // generator's tables are reused across graph sizes.
+        let mut arena = DegArena::new();
+        let baseline = |trace: &[archx_sim::Instruction]| {
+            OooCore::new(MicroArch::baseline())
+                .run(trace)
+                .expect("simulates")
+        };
+        for r in [
+            run(1_500, 6),
+            OooCore::new(MicroArch::tiny())
+                .run(&trace_gen::pointer_chase(1_000, 8 << 20, 4))
+                .expect("simulates"),
+            baseline(&trace_gen::independent_int_ops(4)),
+            // One instruction: no skewed edges, only F1(I0) -> C(I0).
+            baseline(&trace_gen::independent_int_ops(1)),
+            run(300, 7),
+        ] {
+            let mut base = build_deg(&r);
+            if r.trace.events.len() == 1 {
+                assert!(!base.edges().iter().any(|e| e.kind.is_skewed()));
+            }
+            let fused = critical_path_in(&mut arena, &mut base);
+            let mut induced = induce(base);
+            assert_eq!(fused, reference_critical_path(&mut induced));
+            assert_eq!(fused, critical_path_in(&mut arena, &mut induced));
+            assert_eq!(fused.total_delay, r.trace.cycles);
         }
     }
 

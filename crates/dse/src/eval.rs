@@ -24,7 +24,7 @@
 use crate::governor::ThreadGovernor;
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
 use crate::pareto::{ExplorationSet, RefPoint};
-use archx_deg::{build_deg_in, critical, induce, merge_reports, BottleneckReport, DegArena};
+use archx_deg::{build_deg_in, critical, merge_reports, BottleneckReport, DegArena};
 use archx_power::{PowerModel, PpaResult};
 use archx_sim::arena::SimArena;
 use archx_sim::isa::Instruction;
@@ -70,7 +70,9 @@ type AttemptOutcome = Result<(PpaResult, Option<BottleneckReport>), EvalError>;
 pub enum Analysis {
     /// Simulation only.
     None,
-    /// The paper's new DEG formulation (induced DEG + Algorithm 1).
+    /// The paper's new DEG formulation: Algorithm 1 over the induced DEG,
+    /// whose virtual edges the critical-path sweep generates on the fly
+    /// instead of materialising them (the result is identical).
     NewDeg,
     /// The prior static formulation (Calipers baseline).
     Calipers,
@@ -557,8 +559,9 @@ impl Evaluator {
     }
 
     /// Evaluates a design with an explicit bottleneck-analysis backend:
-    /// [`Analysis::NewDeg`] additionally builds the induced DEG and merges
-    /// per-workload bottleneck reports (Eq. 2).
+    /// [`Analysis::NewDeg`] additionally builds the DEG, runs Algorithm 1
+    /// over its induced form and merges per-workload bottleneck reports
+    /// (Eq. 2).
     ///
     /// Cached: re-evaluating a design costs no simulations. A cached
     /// design evaluated without a report will be re-simulated if a report
@@ -693,7 +696,9 @@ impl Evaluator {
         let report = match analysis {
             Analysis::None => None,
             Analysis::NewDeg => {
-                let mut deg = induce(build_deg_in(&mut arena.deg, &result));
+                // The sweep generates the induced DEG's virtual edges
+                // itself, so the built DEG is never induced here.
+                let mut deg = build_deg_in(&mut arena.deg, &result);
                 let path = critical::critical_path_in(&mut arena.deg, &mut deg);
                 let report = archx_deg::bottleneck::analyze(&deg, &path);
                 arena.deg.recycle(deg);

@@ -23,9 +23,9 @@
 
 use crate::space::{DesignSpace, ParamId};
 use archx_deg::bottleneck::analyze;
+use archx_deg::build_deg;
 use archx_deg::naive::naive_stall_report;
 use archx_deg::validate::validate_exactness;
-use archx_deg::{build_deg, induce};
 use archx_sim::check::{CheckConfig, InjectedFault};
 use archx_sim::{trace_gen, MicroArch, OooCore};
 use archx_telemetry::JsonValue;
@@ -231,9 +231,9 @@ fn check_chain(
     })?;
     let path = validate_exactness(&result).map_err(|v| (v.check.to_string(), v.detail))?;
     // Bottleneck attribution must be a normalised distribution over the
-    // critical path.
-    let deg = induce(build_deg(&result));
-    let report = analyze(&deg, &path);
+    // critical path. `analyze` reads only vertex times, so the built DEG
+    // serves.
+    let report = analyze(&build_deg(&result), &path);
     let total = report.total();
     if !(0.0..=1.0 + 1e-9).contains(&total) {
         return Err((

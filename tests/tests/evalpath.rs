@@ -129,3 +129,50 @@ fn retry_window_is_a_prefix_of_the_shared_trace() {
         "sub-slice equals direct generation of the shorter window"
     );
 }
+
+#[test]
+fn fused_evaluation_matches_a_materialised_replay() {
+    // The evaluator never induces the DEG: its critical-path sweep
+    // generates the virtual edges. Replaying every workload by hand over
+    // the materialised induced DEG must give the same `DesignEval`.
+    use archexplorer::deg::bottleneck::analyze;
+
+    let suite = suite(2);
+    let (window, seed) = (1_500, 3);
+    let ev = Evaluator::builder(suite.clone())
+        .window(window)
+        .seed(seed)
+        .trace_store(Arc::new(TraceStore::new()))
+        .threads(1)
+        .build();
+    let mut arena = DegArena::new();
+    for arch in [MicroArch::baseline(), MicroArch::tiny()] {
+        let eval = ev
+            .evaluate_with(&arch, Analysis::NewDeg)
+            .expect("evaluates");
+        let mut per_workload = Vec::new();
+        let mut reports = Vec::new();
+        for w in &suite {
+            let r = OooCore::new(arch)
+                .run(&w.generate(window, seed))
+                .expect("simulates");
+            per_workload.push(PowerModel::default().evaluate(&arch, &r.stats));
+            let mut induced = induce(build_deg(&r));
+            let path = critical_path_in(&mut arena, &mut induced);
+            reports.push(analyze(&induced, &path));
+        }
+        let n = per_workload.len() as f64;
+        let weights: Vec<f64> = suite.iter().map(|w| w.weight).collect();
+        let replay = DesignEval {
+            ppa: PpaResult {
+                ipc: per_workload.iter().map(|p| p.ipc).sum::<f64>() / n,
+                power_w: per_workload.iter().map(|p| p.power_w).sum::<f64>() / n,
+                area_mm2: per_workload[0].area_mm2,
+            },
+            report: Some(merge_reports(&reports, &weights)),
+            per_workload,
+            analysis: Analysis::NewDeg,
+        };
+        assert_eq!(eval, replay, "fused evaluation diverged for {arch}");
+    }
+}

@@ -51,6 +51,61 @@ fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
         )
 }
 
+/// The critical-path sweep over the built DEG (which generates the
+/// induced DEG's virtual edges itself) must agree bit for bit with the
+/// materialised induced DEG, as a path and as a bottleneck report. The
+/// `deg/fused_vs_materialised` oracle inside `validate_exactness_window`
+/// additionally holds both against the plain reference dynamic program.
+fn check_fused_window(r: &archexplorer::sim::SimResult, start: usize, end: usize) {
+    use archexplorer::deg::bottleneck::analyze;
+    use archexplorer::deg::build::build_deg_window;
+    let window = format!("window [{start}, {end})");
+    let oracle =
+        validate_exactness_window(r, start, end).unwrap_or_else(|e| panic!("{window}: {e}"));
+    let mut base = build_deg_window(r, start, end);
+    let fused = critical_path(&mut base);
+    let fused_report = analyze(&base, &fused);
+    let mut induced = induce(base);
+    let materialised = critical_path(&mut induced);
+    let materialised_report = analyze(&induced, &materialised);
+    assert_eq!(fused, oracle, "{window}");
+    assert_eq!(fused, materialised, "{window}");
+    assert_eq!(fused_report.length, materialised_report.length, "{window}");
+    for (a, b) in fused_report
+        .contributions
+        .iter()
+        .zip(&materialised_report.contributions)
+    {
+        assert_eq!(a.to_bits(), b.to_bits(), "{window}");
+    }
+}
+
+#[test]
+fn fused_critical_path_matches_reference_on_degenerate_windows() {
+    let suite = spec06_suite();
+    let r = OooCore::new(MicroArch::baseline())
+        .run(&suite[1].generate(600, 2))
+        .expect("simulates");
+    let n = r.trace.events.len();
+    // One-instruction windows at the start, middle and end.
+    for (start, end) in [(0, 1), (300, 301), (n - 1, n)] {
+        check_fused_window(&r, start, end);
+    }
+    for (trace, arch) in [
+        (
+            archexplorer::sim::trace_gen::independent_int_ops(4),
+            MicroArch::baseline(),
+        ),
+        (
+            archexplorer::sim::trace_gen::pointer_chase(800, 8 << 20, 5),
+            MicroArch::tiny(),
+        ),
+    ] {
+        let r = OooCore::new(arch).run(&trace).expect("simulates");
+        check_fused_window(&r, 0, r.trace.events.len());
+    }
+}
+
 fn arb_design() -> impl Strategy<Value = MicroArch> {
     any::<u64>().prop_map(|seed| {
         use rand::rngs::StdRng;
@@ -95,6 +150,23 @@ proptest! {
         let report = archexplorer::deg::bottleneck::analyze(&deg, &path);
         let total = report.total();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&total));
+    }
+
+    #[test]
+    fn fused_critical_path_matches_reference_on_random_windows(
+        design in arb_design(),
+        workload in 0usize..12,
+        len in 1usize..1_200,
+        start_frac in 0.0f64..1.0,
+    ) {
+        let suite = spec06_suite();
+        let w = &suite[workload % suite.len()];
+        let r = OooCore::new(design).run(&w.generate(1_200, 7)).expect("simulates");
+        let n = r.trace.events.len();
+        let start = ((n - len) as f64 * start_frac) as usize;
+        check_fused_window(&r, start, start + len);
+        // The full window too, where the path length is the runtime.
+        check_fused_window(&r, 0, n);
     }
 
     #[test]
