@@ -26,14 +26,25 @@ impl Args {
         }
     }
 
-    /// Integer argument with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        cliopt::get(&self.map, key, default)
+    /// Typed argument with default; panics, naming the key and the value,
+    /// when the value is malformed.
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        cliopt::get(&self.map, key, default).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Usize argument with default.
+    /// Integer argument with default (panics on a malformed value).
+    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
+        self.get(key, default)
+    }
+
+    /// Usize argument with default (panics on a malformed value).
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        cliopt::get(&self.map, key, default)
+        self.get(key, default)
+    }
+
+    /// Float argument with default (panics on a malformed value).
+    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
+        self.get(key, default)
     }
 
     /// String argument with default.
@@ -79,6 +90,12 @@ mod tests {
         assert_eq!(a.get_u64("missing", 7), 7);
         assert_eq!(a.get_str("suite", "spec06"), "spec17");
         assert_eq!(a.get_usize("budget", 0), 120);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value `1k` for budget")]
+    fn malformed_number_panics_with_key_and_value() {
+        Args::from_args(["budget=1k".to_string()]).get_u64("budget", 240);
     }
 
     #[test]

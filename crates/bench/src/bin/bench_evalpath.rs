@@ -1,7 +1,9 @@
 //! **BENCH_evalpath**: wall-clock of the evaluation hot path in three
-//! configurations — cold (fresh trace store per pass, no arena reuse),
-//! shared trace store (synthesise once, share `Arc`s), and shared store
-//! plus per-thread evaluation arenas — with a hard identity gate: both
+//! configurations — cold (fresh trace store per pass, each design on a
+//! freshly spawned thread and so a fresh evaluation arena), shared trace
+//! store (synthesise once, share `Arc`s, still a fresh thread per design),
+//! and shared store plus one long-lived thread whose evaluation arena is
+//! reused across every design — with a hard identity gate: both
 //! optimised paths must produce [`DesignEval`]s byte-identical to the cold
 //! path or the binary exits non-zero.
 //!
@@ -26,13 +28,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One pass: a fresh evaluator (no design cache carry-over) over the same
-/// designs, resolving traces through `store`. Returns the evaluations in
-/// design order.
+/// designs, resolving traces through `store`. With `fresh_thread`, each
+/// design is evaluated on a newly spawned thread, which starts with an
+/// empty thread-local evaluation arena; otherwise every design runs on the
+/// calling thread and reuses its arena. Returns the evaluations in design
+/// order.
 fn run_pass(
     suite: &[Workload],
     instrs: usize,
     store: Arc<TraceStore>,
-    arena_reuse: bool,
+    fresh_thread: bool,
     designs: &[MicroArch],
 ) -> Vec<DesignEval> {
     let evaluator = Evaluator::builder(suite.to_vec())
@@ -40,14 +45,20 @@ fn run_pass(
         .seed(1)
         .trace_store(store)
         .threads(1)
-        .arena_reuse(arena_reuse)
         .build();
+    let eval = |arch: &MicroArch| {
+        evaluator
+            .evaluate_with(arch, Analysis::NewDeg)
+            .expect("baseline-lattice designs evaluate")
+    };
     designs
         .iter()
         .map(|arch| {
-            evaluator
-                .evaluate_with(arch, Analysis::NewDeg)
-                .expect("baseline-lattice designs evaluate")
+            if fresh_thread {
+                std::thread::scope(|s| s.spawn(|| eval(arch)).join().expect("evaluation thread"))
+            } else {
+                eval(arch)
+            }
         })
         .collect()
 }
@@ -78,13 +89,14 @@ fn main() -> ExitCode {
     );
 
     // Cold: every pass synthesises its traces from scratch (fresh store)
-    // and every simulation allocates its working set from scratch.
+    // and every design allocates its working set from scratch (fresh
+    // thread, fresh arena).
     let t0 = Instant::now();
     let mut cold_misses = 0u64;
     let mut cold: Vec<DesignEval> = Vec::new();
     for rep in 0..repeats {
         let store = Arc::new(TraceStore::new());
-        let evals = run_pass(&suite, instrs, Arc::clone(&store), false, &designs);
+        let evals = run_pass(&suite, instrs, Arc::clone(&store), true, &designs);
         cold_misses += store.misses();
         if rep == 0 {
             cold = evals;
@@ -98,20 +110,21 @@ fn main() -> ExitCode {
     let t1 = Instant::now();
     let mut shared: Vec<DesignEval> = Vec::new();
     for rep in 0..repeats {
-        let evals = run_pass(&suite, instrs, Arc::clone(&shared_store), false, &designs);
+        let evals = run_pass(&suite, instrs, Arc::clone(&shared_store), true, &designs);
         if rep == 0 {
             shared = evals;
         }
     }
     let shared_s = t1.elapsed().as_secs_f64();
 
-    // Arena: shared store plus per-thread scratch arenas — simulations and
-    // DEG analyses clear buffers instead of reallocating them.
+    // Arena: shared store plus one thread's scratch arena reused across
+    // every design — simulations and DEG analyses clear buffers instead of
+    // reallocating them.
     let arena_store = Arc::new(TraceStore::new());
     let t2 = Instant::now();
     let mut arena: Vec<DesignEval> = Vec::new();
     for rep in 0..repeats {
-        let evals = run_pass(&suite, instrs, Arc::clone(&arena_store), true, &designs);
+        let evals = run_pass(&suite, instrs, Arc::clone(&arena_store), false, &designs);
         if rep == 0 {
             arena = evals;
         }

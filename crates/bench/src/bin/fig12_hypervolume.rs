@@ -16,7 +16,7 @@
 //! worker threads under a global governor (`threads=` caps the total);
 //! results are identical to `jobs=1`, only wall-clock changes.
 
-use archexplorer::dse::campaign::{Campaign, CampaignRunner, ParallelConfig};
+use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig};
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
@@ -92,7 +92,10 @@ fn run_suite(name: &str, suite: Vec<Workload>, cfg: &CampaignConfig, parallel: &
         cfg.instrs_per_workload,
         parallel.jobs
     );
-    let campaign = Campaign::run_parallel(&methods, &space, &suite, cfg, parallel);
+    let campaign = CampaignRunner::new()
+        .parallel(*parallel)
+        .run(&methods, &space, &suite, cfg)
+        .expect("infallible without per-run setup hooks");
 
     let r = RefPoint::default();
     let step = (cfg.sim_budget / 12).max(1);

@@ -11,7 +11,7 @@
 //!     [budget=N] [instrs=N] [seed=S] [workloads=N]
 //! ```
 
-use archexplorer::dse::campaign::Campaign;
+use archexplorer::dse::campaign::CampaignRunner;
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
@@ -45,7 +45,9 @@ fn main() {
         methods.len(),
         cfg.sim_budget
     );
-    let campaign = Campaign::run(&methods, &DesignSpace::table4(), &suite, &cfg);
+    let campaign = CampaignRunner::new()
+        .run(&methods, &DesignSpace::table4(), &suite, &cfg)
+        .expect("infallible without per-run setup hooks");
 
     println!("Figure 13 data: Pareto-frontier points per method (CSV)");
     let mut t = Table::new(["method", "ipc", "power_w", "area_mm2", "tradeoff"]);

@@ -8,8 +8,7 @@
 //!     [budget=N] [instrs=N] [seed=S] [workloads=N]
 //! ```
 
-use archexplorer::dse::campaign::{run_method, CampaignConfig};
-use archexplorer::dse::eval::Evaluator;
+use archexplorer::dse::campaign::{build_evaluator, CampaignConfig, CampaignRunner};
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
@@ -38,22 +37,26 @@ fn main() {
         for x in &mut suite {
             x.weight = w;
         }
-        let space = DesignSpace::table4();
 
         // Find each method's best design, then re-evaluate per workload.
-        let mut best: Vec<(String, MicroArch)> = Vec::new();
-        for &m in &methods {
-            eprintln!("[{name}] {m}: exploring {} sims...", cfg.sim_budget);
-            let log = run_method(m, &space, &suite, &cfg);
-            let rec = log.best_tradeoff().expect("non-empty log");
-            best.push((m.to_string(), rec.arch));
-        }
+        eprintln!(
+            "[{name}] {} methods: exploring {} sims each...",
+            methods.len(),
+            cfg.sim_budget
+        );
+        let campaign = CampaignRunner::new()
+            .run(&methods, &DesignSpace::table4(), &suite, &cfg)
+            .expect("infallible without per-run setup hooks");
+        let best: Vec<(String, MicroArch)> = campaign
+            .logs
+            .iter()
+            .map(|log| {
+                let rec = log.best_tradeoff().expect("non-empty log");
+                (log.method.clone(), rec.arch)
+            })
+            .collect();
 
-        let evaluator = Evaluator::builder(suite.clone())
-            .window(cfg.instrs_per_workload)
-            .seed(cfg.seed)
-            .threads(cfg.threads)
-            .build();
+        let evaluator = build_evaluator(&suite, &cfg);
         let mut header = vec!["workload".to_string()];
         header.extend(best.iter().map(|(m, _)| m.clone()));
         let mut t = Table::new(header);

@@ -17,7 +17,7 @@
 //! governor (`threads=` caps the total); the table is identical to
 //! `jobs=1`.
 
-use archexplorer::dse::campaign::{Campaign, ParallelConfig};
+use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig};
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
@@ -34,7 +34,7 @@ fn main() {
     };
     let limit = args.get_usize("workloads", usize::MAX);
     // Target = this fraction of the best final hypervolume across methods.
-    let target_frac: f64 = args.get_str("target_frac", "0.95").parse().unwrap_or(0.95);
+    let target_frac: f64 = args.get_f64("target_frac", 0.95);
     let jobs = args.get_usize("jobs", 1).max(1);
     let parallel = ParallelConfig {
         jobs,
@@ -61,7 +61,10 @@ fn main() {
             cfg.sim_budget,
             jobs
         );
-        let campaign = Campaign::run_parallel(&methods, &space_ref(), &suite, &cfg, &parallel);
+        let campaign = CampaignRunner::new()
+            .parallel(parallel)
+            .run(&methods, &DesignSpace::table4(), &suite, &cfg)
+            .expect("infallible without per-run setup hooks");
 
         let r = RefPoint::default();
         let step = (cfg.sim_budget / 60).max(1);
@@ -102,8 +105,4 @@ fn main() {
         println!("{}", t.to_text());
     }
     archx_bench::emit::emit_telemetry(&telemetry_mode);
-}
-
-fn space_ref() -> DesignSpace {
-    DesignSpace::table4()
 }

@@ -51,8 +51,8 @@
 //! design for repro runs, and the exit status is nonzero on any violation.
 
 use archexplorer::cliopt::{
-    extract_telemetry, get, normalize_flags, parse_kv, parse_method, parse_methods, parse_seeds,
-    TelemetryMode,
+    extract_telemetry, get, get_opt, normalize_flags, parse_kv, parse_method, parse_methods,
+    parse_seeds, TelemetryMode,
 };
 use archexplorer::deg::prelude::*;
 use archexplorer::dse::campaign::{build_evaluator, run_method_on, CampaignConfig};
@@ -98,14 +98,14 @@ fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
     use archexplorer::dse::eval::{Analysis, Evaluator};
     let arch = arch_with_overrides(kv)?;
     let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX).max(1));
+    suite.truncate(get(kv, "workloads", usize::MAX)?.max(1));
     let w = 1.0 / suite.len() as f64;
     for x in &mut suite {
         x.weight = w;
     }
     let evaluator = Evaluator::builder(suite)
-        .window(get(kv, "instrs", 20_000))
-        .seed(get(kv, "seed", 1))
+        .window(get(kv, "instrs", 20_000)?)
+        .seed(get(kv, "seed", 1)?)
         .build();
     println!("design: {arch}");
     let e = evaluator
@@ -142,19 +142,19 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
             .unwrap_or("archexplorer"),
     )?;
     let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX).max(1));
+    suite.truncate(get(kv, "workloads", usize::MAX)?.max(1));
     let w = 1.0 / suite.len() as f64;
     for x in &mut suite {
         x.weight = w;
     }
     let cfg = CampaignConfig {
-        sim_budget: get(kv, "budget", 240),
-        instrs_per_workload: get(kv, "instrs", 20_000),
-        seed: get(kv, "seed", 1),
+        sim_budget: get(kv, "budget", 240)?,
+        instrs_per_workload: get(kv, "instrs", 20_000)?,
+        seed: get(kv, "seed", 1)?,
         trace_seed: None,
         threads: archexplorer::dse::default_threads(),
-        cycle_budget: kv.get("cycle_budget").and_then(|v| v.parse().ok()),
-        max_retries: get(kv, "retries", 1u32),
+        cycle_budget: get_opt(kv, "cycle_budget")?,
+        max_retries: get(kv, "retries", 1u32)?,
     };
     eprintln!(
         "exploring with {method} for {} simulations ({} workloads x {} instrs)...",
@@ -163,7 +163,7 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
         cfg.instrs_per_workload
     );
     let evaluator = build_evaluator(&suite, &cfg);
-    if get(kv, "progress", 0u8) == 1 {
+    if get(kv, "progress", 0u8)? == 1 {
         evaluator.set_progress_sink(std::sync::Arc::new(StderrProgress));
     }
     // The fingerprint pins everything the journal's replayed results
@@ -248,32 +248,32 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
     let methods = parse_methods(kv.get("methods").map(String::as_str).unwrap_or("all"))?;
     let seeds: Vec<u64> = match kv.get("seeds") {
         Some(list) => parse_seeds(list)?,
-        None => vec![get(kv, "seed", 1u64)],
+        None => vec![get(kv, "seed", 1u64)?],
     };
     let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX).max(1));
+    suite.truncate(get(kv, "workloads", usize::MAX)?.max(1));
     let w = 1.0 / suite.len() as f64;
     for x in &mut suite {
         x.weight = w;
     }
-    let jobs = get(kv, "jobs", 1usize).max(1);
+    let jobs = get(kv, "jobs", 1usize)?.max(1);
     let parallel = ParallelConfig {
         jobs,
         total_threads: get(
             kv,
             "threads",
             jobs.max(archexplorer::dse::default_threads()),
-        )
+        )?
         .max(1),
     };
     let cfg = CampaignConfig {
-        sim_budget: get(kv, "budget", 240),
-        instrs_per_workload: get(kv, "instrs", 20_000),
+        sim_budget: get(kv, "budget", 240)?,
+        instrs_per_workload: get(kv, "instrs", 20_000)?,
         seed: seeds[0],
-        trace_seed: kv.get("trace_seed").and_then(|v| v.parse().ok()),
+        trace_seed: get_opt(kv, "trace_seed")?,
         threads: archexplorer::dse::default_threads(),
-        cycle_budget: kv.get("cycle_budget").and_then(|v| v.parse().ok()),
-        max_retries: get(kv, "retries", 1u32),
+        cycle_budget: get_opt(kv, "cycle_budget")?,
+        max_retries: get(kv, "retries", 1u32)?,
     };
     let specs: Vec<RunSpec> = methods
         .iter()
@@ -333,7 +333,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
     };
 
     let mut runner = CampaignRunner::new().parallel(parallel).setup(&setup);
-    if get(kv, "progress", 0u8) == 1 {
+    if get(kv, "progress", 0u8)? == 1 {
         runner = runner.progress_sink(std::sync::Arc::new(StderrProgress));
     }
     let logs = runner
@@ -402,7 +402,7 @@ fn cmd_export(kv: &HashMap<String, String>) -> Result<(), String> {
         .iter()
         .find(|w| w.id.0.contains(name.as_str()))
         .ok_or_else(|| format!("no workload matching `{name}`"))?;
-    let trace = workload.generate(get(kv, "instrs", 20_000), get(kv, "seed", 1));
+    let trace = workload.generate(get(kv, "instrs", 20_000)?, get(kv, "seed", 1)?);
     let result = OooCore::new(arch)
         .run(&trace)
         .map_err(|e| format!("simulation failed: {e}"))?;
@@ -440,7 +440,7 @@ fn cmd_verify(kv: &HashMap<String, String>) -> Result<(), String> {
     use archexplorer::dse::verify::{run_verify, VerifyConfig};
     use archexplorer::sim::InjectedFault;
     let mut workloads = workloads_of(kv)?;
-    workloads.truncate(get(kv, "workloads", usize::MAX).max(1));
+    workloads.truncate(get(kv, "workloads", usize::MAX)?.max(1));
     if let Some(name) = kv.get("workload") {
         workloads.retain(|w| w.id.0.contains(name.as_str()));
         if workloads.is_empty() {
@@ -448,15 +448,15 @@ fn cmd_verify(kv: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     let mut cfg = VerifyConfig {
-        designs: get(kv, "designs", 16usize).max(1),
-        seed: get(kv, "seed", 1u64),
-        window: get(kv, "window", 2_000usize),
+        designs: get(kv, "designs", 16usize)?.max(1),
+        seed: get(kv, "seed", 1u64)?,
+        window: get(kv, "window", 2_000usize)?,
         workloads,
         fault: kv
             .get("inject")
             .map(|s| InjectedFault::parse(s))
             .transpose()?,
-        metamorphic: get(kv, "metamorphic", 1u8) == 1,
+        metamorphic: get(kv, "metamorphic", 1u8)? == 1,
         only_design: None,
     };
     // Table 4 overrides (`Rob=32 Iq=80 ...`) pin a single design — the

@@ -110,10 +110,28 @@ pub fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode)
     Ok((rest, mode))
 }
 
-/// Typed `key=value` lookup with a default for missing or unparsable
-/// values.
-pub fn get<T: std::str::FromStr>(kv: &HashMap<String, String>, key: &str, default: T) -> T {
-    kv.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Typed `key=value` lookup: `None` when the key is absent, an error
+/// naming the key and the value when the value does not parse.
+pub fn get_opt<T: std::str::FromStr>(
+    kv: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    kv.get(key)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value `{v}` for {key}"))
+        })
+        .transpose()
+}
+
+/// Typed `key=value` lookup with a default for a missing key; a malformed
+/// value is an error, never a silent default.
+pub fn get<T: std::str::FromStr>(
+    kv: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    Ok(get_opt(kv, key)?.unwrap_or(default))
 }
 
 /// Parses one method name (`archexplorer`, `random`, `adaboost`,
@@ -179,9 +197,10 @@ mod tests {
         assert_eq!(kv.get("budget").map(String::as_str), Some("120"));
         assert_eq!(kv.get("suite").map(String::as_str), Some("spec17"));
         assert!(!kv.contains_key("campaign"));
-        assert_eq!(get(&kv, "budget", 0u64), 120);
-        assert_eq!(get(&kv, "missing", 7u64), 7);
-        assert_eq!(get(&kv, "suite", 0u64), 0, "unparsable falls to default");
+        assert_eq!(get(&kv, "budget", 0u64), Ok(120));
+        assert_eq!(get(&kv, "missing", 7u64), Ok(7));
+        let err = get(&kv, "suite", 0u64).expect_err("unparsable is an error");
+        assert!(err.contains("suite") && err.contains("spec17"), "{err}");
     }
 
     #[test]
@@ -299,6 +318,21 @@ mod tests {
             parse_methods(" archexplorer ").unwrap(),
             vec![Method::ArchExplorer]
         );
+    }
+
+    #[test]
+    fn numeric_values_reject_malformed_input() {
+        let kv = parse_kv(&strings(&["budget=1k", "cycle_budget=5e6", "retries=2"]));
+        let err = get(&kv, "budget", 240u64).expect_err("1k is not a number");
+        assert!(err.contains("budget") && err.contains("1k"), "{err}");
+        let err = get_opt::<u64>(&kv, "cycle_budget").expect_err("5e6 is not an integer");
+        assert!(err.contains("cycle_budget") && err.contains("5e6"), "{err}");
+        assert_eq!(
+            get_opt::<u64>(&kv, "trace_seed"),
+            Ok(None),
+            "absent is not an error"
+        );
+        assert_eq!(get_opt::<u32>(&kv, "retries"), Ok(Some(2)));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! analysis and explorers together behind one builder.
 
 use archx_deg::BottleneckReport;
-use archx_dse::campaign::{run_method_observed, CampaignConfig, Method};
-use archx_dse::eval::{Analysis, DesignEval, EvalFailure, Evaluator, RunLog, SimLimits};
+use archx_dse::campaign::{build_evaluator_in, run_method_on, CampaignConfig, Method};
+use archx_dse::eval::{Analysis, DesignEval, EvalFailure, Evaluator, RunLog};
 use archx_dse::space::DesignSpace;
 use archx_sim::MicroArch;
 use archx_telemetry::ProgressSink;
@@ -86,12 +86,7 @@ impl std::error::Error for SessionError {}
 pub struct SessionBuilder {
     suite: Suite,
     workload_limit: usize,
-    instrs_per_workload: usize,
-    seed: u64,
-    trace_seed: Option<u64>,
-    threads: usize,
-    cycle_budget: Option<u64>,
-    max_retries: u32,
+    cfg: CampaignConfig,
     trace_store: Option<Arc<TraceStore>>,
 }
 
@@ -100,12 +95,7 @@ impl Default for SessionBuilder {
         SessionBuilder {
             suite: Suite::Spec06,
             workload_limit: usize::MAX,
-            instrs_per_workload: 10_000,
-            seed: 1,
-            trace_seed: None,
-            threads: archx_dse::default_threads(),
-            cycle_budget: None,
-            max_retries: 1,
+            cfg: CampaignConfig::default(),
             trace_store: None,
         }
     }
@@ -126,40 +116,40 @@ impl SessionBuilder {
 
     /// Instructions simulated per workload (the paper's analysis window).
     pub fn instrs_per_workload(mut self, n: usize) -> Self {
-        self.instrs_per_workload = n.max(100);
+        self.cfg.instrs_per_workload = n.max(100);
         self
     }
 
     /// Search seed (also the trace seed unless [`Self::trace_seed`] is set).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Fixes the workload-trace seed independently of the search seed, so
     /// seed sweeps measure search variance rather than workload variance.
     pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.trace_seed = Some(seed);
+        self.cfg.trace_seed = Some(seed);
         self
     }
 
     /// Worker threads for workload-parallel simulation.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.cfg.threads = threads.max(1);
         self
     }
 
     /// Hard per-simulation cycle budget (`None` = unlimited). Runs that
     /// exceed it fail with a typed error instead of spinning forever.
     pub fn cycle_budget(mut self, budget: Option<u64>) -> Self {
-        self.cycle_budget = budget;
+        self.cfg.cycle_budget = budget;
         self
     }
 
     /// Retries allowed per failed evaluation (each with a halved
     /// instruction window) before the design is quarantined.
     pub fn max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
+        self.cfg.max_retries = max_retries;
         self
     }
 
@@ -180,27 +170,14 @@ impl SessionBuilder {
         for wl in &mut suite {
             wl.weight = w;
         }
-        let evaluator = Evaluator::builder(suite.clone())
-            .window(self.instrs_per_workload)
-            .seed(self.trace_seed.unwrap_or(self.seed))
-            .trace_store(self.trace_store.unwrap_or_else(TraceStore::global))
-            .threads(self.threads)
-            .limits(SimLimits {
-                cycle_budget: self.cycle_budget,
-                ..SimLimits::default()
-            })
-            .max_retries(self.max_retries)
-            .build();
+        let store = self.trace_store.unwrap_or_else(TraceStore::global);
+        let evaluator = build_evaluator_in(&suite, &self.cfg, Arc::clone(&store));
         Session {
             space: DesignSpace::table4(),
             suite,
             evaluator,
-            instrs_per_workload: self.instrs_per_workload,
-            seed: self.seed,
-            trace_seed: self.trace_seed,
-            threads: self.threads,
-            cycle_budget: self.cycle_budget,
-            max_retries: self.max_retries,
+            cfg: self.cfg,
+            store,
         }
     }
 }
@@ -211,12 +188,8 @@ pub struct Session {
     space: DesignSpace,
     suite: Vec<Workload>,
     evaluator: Evaluator,
-    instrs_per_workload: usize,
-    seed: u64,
-    trace_seed: Option<u64>,
-    threads: usize,
-    cycle_budget: Option<u64>,
-    max_retries: u32,
+    cfg: CampaignConfig,
+    store: Arc<TraceStore>,
 }
 
 impl Session {
@@ -268,7 +241,8 @@ impl Session {
     }
 
     /// Runs one DSE method for `sim_budget` simulations on a **fresh**
-    /// evaluator (so methods never share caches or budgets).
+    /// evaluator (so methods never share caches or budgets) whose traces
+    /// come from the session's trace store.
     pub fn explore(&self, method: Method, sim_budget: u64) -> Result<RunLog, SessionError> {
         self.explore_inner(method, sim_budget, None)
     }
@@ -291,16 +265,11 @@ impl Session {
         sim_budget: u64,
         sink: Option<Arc<dyn ProgressSink>>,
     ) -> Result<RunLog, SessionError> {
-        let cfg = CampaignConfig {
-            sim_budget,
-            instrs_per_workload: self.instrs_per_workload,
-            seed: self.seed,
-            trace_seed: self.trace_seed,
-            threads: self.threads,
-            cycle_budget: self.cycle_budget,
-            max_retries: self.max_retries,
-        };
-        let log = run_method_observed(method, &self.space, &self.suite, &cfg, sink);
+        let evaluator = build_evaluator_in(&self.suite, &self.cfg, Arc::clone(&self.store));
+        if let Some(sink) = sink {
+            evaluator.set_progress_sink(sink);
+        }
+        let log = run_method_on(method, &self.space, &evaluator, sim_budget, self.cfg.seed);
         if log.records.is_empty() {
             return Err(SessionError::EmptyExploration { method, sim_budget });
         }
@@ -350,6 +319,25 @@ mod tests {
         assert!(!log.records.is_empty());
         // The session evaluator is untouched by exploration.
         assert_eq!(s.evaluator().sim_count(), 0);
+    }
+
+    #[test]
+    fn explore_resolves_traces_through_the_session_store() {
+        let store = Arc::new(TraceStore::new());
+        let s = Session::builder()
+            .workload_limit(2)
+            .instrs_per_workload(800)
+            .threads(1)
+            .trace_store(Arc::clone(&store))
+            .build();
+        let (hits, misses) = (store.hits(), store.misses());
+        s.explore(Method::Random, 4).expect("explores");
+        assert_eq!(
+            store.hits(),
+            hits + s.suite().len() as u64,
+            "the fresh evaluator shares the session's traces"
+        );
+        assert_eq!(store.misses(), misses, "no trace is synthesised twice");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::baselines::ranker::RankerOptions;
 use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
-use crate::eval::{Evaluator, RunLog, SimLimits};
+use crate::eval::{Evaluator, EvaluatorBuilder, RunLog, SimLimits};
 use crate::governor::ThreadGovernor;
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
@@ -131,8 +131,8 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Builds the evaluator [`run_method`] would use for this configuration.
-/// Exposed so callers can attach a journal / warm-start it before calling
+/// Builds the evaluator a campaign run uses for this configuration.
+/// Callers attach a journal / warm-start it before calling
 /// [`run_method_on`]. Traces resolve through the process-global
 /// [`TraceStore`], so every evaluator a campaign builds for the same
 /// `(workload, trace seed, window)` shares one synthesised trace.
@@ -148,6 +148,15 @@ pub fn build_evaluator_in(
     cfg: &CampaignConfig,
     store: Arc<TraceStore>,
 ) -> Evaluator {
+    evaluator_builder(suite, cfg, store).build()
+}
+
+/// The one mapping from a [`CampaignConfig`] to evaluator settings.
+fn evaluator_builder(
+    suite: &[Workload],
+    cfg: &CampaignConfig,
+    store: Arc<TraceStore>,
+) -> EvaluatorBuilder {
     Evaluator::builder(suite.to_vec())
         .window(cfg.instrs_per_workload)
         .seed(cfg.trace_seed.unwrap_or(cfg.seed))
@@ -158,35 +167,6 @@ pub fn build_evaluator_in(
             deadlock_watchdog: SimLimits::default().deadlock_watchdog,
         })
         .max_retries(cfg.max_retries)
-        .build()
-}
-
-/// Runs one method on a fresh evaluator over the given suite.
-pub fn run_method(
-    method: Method,
-    space: &DesignSpace,
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-) -> RunLog {
-    run_method_observed(method, space, suite, cfg, None)
-}
-
-/// Like [`run_method`], but additionally streams per-evaluation
-/// [`archx_telemetry::Progress`] events (simulations done vs. budget,
-/// hypervolume, best trade-off) to `sink`. Events also reach any sinks
-/// registered on the global telemetry registry either way.
-pub fn run_method_observed(
-    method: Method,
-    space: &DesignSpace,
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    sink: Option<std::sync::Arc<dyn archx_telemetry::ProgressSink>>,
-) -> RunLog {
-    let evaluator = build_evaluator(suite, cfg);
-    if let Some(sink) = sink {
-        evaluator.set_progress_sink(sink);
-    }
-    run_method_on(method, space, &evaluator, cfg.sim_budget, cfg.seed)
 }
 
 /// Runs one method on a caller-supplied evaluator — the entry point for
@@ -446,8 +426,9 @@ impl<'a> CampaignRunner<'a> {
                 ..cfg.clone()
             };
             let store = self.trace_store.clone().unwrap_or_else(TraceStore::global);
-            let evaluator =
-                build_evaluator_in(suite, &run_cfg, store).with_governor(Arc::clone(&governor));
+            let evaluator = evaluator_builder(suite, &run_cfg, store)
+                .governor(Arc::clone(&governor))
+                .build();
             if let Some(sink) = &self.sink {
                 evaluator
                     .set_progress_sink(Arc::new(LabelledSink::new(spec.label(), Arc::clone(sink))));
@@ -563,32 +544,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Runs `methods` sequentially with identical configuration.
-    pub fn run(
-        methods: &[Method],
-        space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
-    ) -> Self {
-        Self::run_parallel(methods, space, suite, cfg, &ParallelConfig::default())
-    }
-
-    /// Runs `methods` with campaign-level parallelism. Logs are returned
-    /// in method order and are byte-identical to a sequential run — only
-    /// wall-clock changes.
-    pub fn run_parallel(
-        methods: &[Method],
-        space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
-        parallel: &ParallelConfig,
-    ) -> Self {
-        CampaignRunner::new()
-            .parallel(*parallel)
-            .run(methods, space, suite, cfg)
-            .expect("infallible without per-run setup hooks")
-    }
-
     /// Hypervolume curves per method, sampled every `step` simulations.
     pub fn curves(&self, r: &RefPoint, step: u64) -> Vec<(String, Vec<(u64, f64)>)> {
         self.logs
@@ -628,25 +583,6 @@ pub struct SweepCurve {
     pub method: String,
     /// Per budget point: `(simulations, mean hypervolume, std deviation)`.
     pub points: Vec<(u64, f64, f64)>,
-}
-
-/// Runs `methods` across `seeds` (fresh evaluator per run) and aggregates
-/// each method's hypervolume-versus-simulations curve. Sequential
-/// convenience wrapper over [`CampaignRunner::sweep`].
-///
-/// # Panics
-///
-/// Panics when `seeds` is empty or `step` is zero.
-pub fn sweep(
-    methods: &[Method],
-    space: &DesignSpace,
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    seeds: &[u64],
-    r: &RefPoint,
-    step: u64,
-) -> Result<Vec<SweepCurve>, CampaignError> {
-    CampaignRunner::new().sweep(methods, space, suite, cfg, seeds, r, step)
 }
 
 /// Aggregates one method's per-seed hypervolume curves (mean ± std per
@@ -718,7 +654,9 @@ mod tests {
             ..CampaignConfig::default()
         };
         let space = DesignSpace::table4();
-        let campaign = Campaign::run(&Method::ALL, &space, &suite, &cfg);
+        let campaign = CampaignRunner::new()
+            .run(&Method::ALL, &space, &suite, &cfg)
+            .expect("no setup hook to fail");
         assert_eq!(campaign.logs.len(), Method::ALL.len());
         for log in &campaign.logs {
             assert!(
@@ -744,16 +682,17 @@ mod tests {
             threads: 1,
             ..CampaignConfig::default()
         };
-        let curves = sweep(
-            &[Method::Random],
-            &DesignSpace::table4(),
-            &suite,
-            &cfg,
-            &[1, 2, 3],
-            &RefPoint::default(),
-            4,
-        )
-        .expect("aligned grids");
+        let curves = CampaignRunner::new()
+            .sweep(
+                &[Method::Random],
+                &DesignSpace::table4(),
+                &suite,
+                &cfg,
+                &[1, 2, 3],
+                &RefPoint::default(),
+                4,
+            )
+            .expect("aligned grids");
         assert_eq!(curves.len(), 1);
         let c = &curves[0];
         assert!(!c.points.is_empty());

@@ -261,15 +261,13 @@ pub struct EvaluatorBuilder {
     governor: Option<Arc<ThreadGovernor>>,
     limits: SimLimits,
     max_retries: u32,
-    journal: Option<Journal>,
-    arena_reuse: bool,
 }
 
 impl EvaluatorBuilder {
     /// Starts a builder over `workloads` with the defaults the paper
     /// experiments use: a 20 000-instruction window, trace seed 1, all
     /// available threads, no governor, default [`SimLimits`], one retry,
-    /// the process-global trace store, and arena reuse on.
+    /// and the process-global trace store.
     pub fn new(workloads: Vec<Workload>) -> Self {
         EvaluatorBuilder {
             workloads,
@@ -280,8 +278,6 @@ impl EvaluatorBuilder {
             governor: None,
             limits: SimLimits::default(),
             max_retries: 1,
-            journal: None,
-            arena_reuse: true,
         }
     }
 
@@ -313,8 +309,13 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Subjects worker threads beyond the caller's to a shared
-    /// [`ThreadGovernor`]; see [`Evaluator::with_governor`].
+    /// Subjects this evaluator's worker threads to a shared
+    /// [`ThreadGovernor`]. The thread the caller evaluates on is always
+    /// allowed to work (campaign jobs hold a base permit for it); workers
+    /// *beyond* it are only spawned when the governor has spare permits,
+    /// so nested campaign parallelism never oversubscribes the configured
+    /// total. Results are identical with or without a governor — worker
+    /// count never changes what an evaluation produces.
     pub fn governor(mut self, governor: Arc<ThreadGovernor>) -> Self {
         self.governor = Some(governor);
         self
@@ -330,21 +331,6 @@ impl EvaluatorBuilder {
     /// instruction window again). Default: 1.
     pub fn max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Attaches a write-ahead journal from the start; equivalent to
-    /// calling [`Evaluator::set_journal`] on the built evaluator.
-    pub fn journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Toggles per-worker-thread scratch arenas for the sim/DEG hot path
-    /// (on by default). Results are byte-identical either way; off is
-    /// only useful for benchmarking the cold allocation path.
-    pub fn arena_reuse(mut self, on: bool) -> Self {
-        self.arena_reuse = on;
         self
     }
 
@@ -368,12 +354,11 @@ impl EvaluatorBuilder {
             governor: self.governor,
             limits: self.limits,
             max_retries: self.max_retries,
-            arena_reuse: self.arena_reuse,
             sims: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             cache: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
-            journal: Mutex::new(self.journal),
+            journal: Mutex::new(None),
             journal_error: Mutex::new(None),
             progress: Mutex::new(ProgressMeta::default()),
         }
@@ -391,7 +376,6 @@ pub struct Evaluator {
     governor: Option<Arc<ThreadGovernor>>,
     limits: SimLimits,
     max_retries: u32,
-    arena_reuse: bool,
     sims: AtomicU64,
     retries: AtomicU64,
     cache: Mutex<HashMap<MicroArch, Result<DesignEval, EvalFailure>>>,
@@ -416,39 +400,6 @@ impl Evaluator {
     /// Starts an [`EvaluatorBuilder`] over `workloads`.
     pub fn builder(workloads: Vec<Workload>) -> EvaluatorBuilder {
         EvaluatorBuilder::new(workloads)
-    }
-
-    /// Restricts worker threads (1 = fully serial, deterministic ordering
-    /// is preserved either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Subjects this evaluator's worker threads to a shared
-    /// [`ThreadGovernor`]. The thread the caller evaluates on is always
-    /// allowed to work (campaign jobs hold a base permit for it); workers
-    /// *beyond* it are only spawned when the governor has spare permits,
-    /// so nested campaign parallelism never oversubscribes the configured
-    /// total. Results are identical with or without a governor — worker
-    /// count never changes what an evaluation produces.
-    pub fn with_governor(mut self, governor: Arc<ThreadGovernor>) -> Self {
-        self.governor = Some(governor);
-        self
-    }
-
-    /// Applies per-simulation limits (cycle budget, deadlock watchdog) to
-    /// every run this evaluator makes.
-    pub fn with_limits(mut self, limits: SimLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Bounds how many times a retryable failure is retried (each retry
-    /// halves the instruction window again). Default: 1.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
     }
 
     /// The workload suite.
@@ -738,18 +689,14 @@ impl Evaluator {
             // regeneration (the synthesiser's stream is prefix-stable).
             let window = (full.len() / divisor).max(1).min(full.len());
             let trace = &full[..window];
-            if self.arena_reuse {
-                EVAL_ARENA.with(|cell| {
-                    let arena = &mut *cell.borrow_mut();
-                    if arena.used {
-                        telemetry::counter_add("arena/reuse", 1);
-                    }
-                    arena.used = true;
-                    self.run_workload(arch, analysis, trace, arena)
-                })
-            } else {
-                self.run_workload(arch, analysis, trace, &mut EvalArena::default())
-            }
+            EVAL_ARENA.with(|cell| {
+                let arena = &mut *cell.borrow_mut();
+                if arena.used {
+                    telemetry::counter_add("arena/reuse", 1);
+                }
+                arena.used = true;
+                self.run_workload(arch, analysis, trace, arena)
+            })
         };
         // A panicking worker must fail the design, not the campaign.
         let guarded = |i: usize| -> AttemptOutcome {

@@ -35,7 +35,8 @@
 //!
 //! let space = DesignSpace::table4();
 //! let cfg = CampaignConfig { sim_budget: 120, ..Default::default() };
-//! let log = run_method(Method::ArchExplorer, &space, &spec06_suite(), &cfg);
+//! let evaluator = build_evaluator(&spec06_suite(), &cfg);
+//! let log = run_method_on(Method::ArchExplorer, &space, &evaluator, cfg.sim_budget, cfg.seed);
 //! println!("explored {} designs", log.records.len());
 //! ```
 
@@ -63,9 +64,9 @@ pub fn default_threads() -> usize {
 pub mod prelude {
     pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
     pub use crate::campaign::{
-        aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method,
-        run_method_observed, run_method_on, sweep, Campaign, CampaignConfig, CampaignError,
-        CampaignRunner, Method, ParallelConfig, RunSpec, SweepCurve,
+        aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method_on,
+        Campaign, CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec,
+        SweepCurve,
     };
     pub use crate::default_threads;
     pub use crate::eval::{
@@ -81,9 +82,9 @@ pub mod prelude {
 
 pub use archexplorer::{run_archexplorer, ArchExplorerOptions};
 pub use campaign::{
-    aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method,
-    run_method_on, sweep, Campaign, CampaignConfig, CampaignError, CampaignRunner, Method,
-    ParallelConfig, RunSpec, SweepCurve,
+    aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method_on,
+    Campaign, CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec,
+    SweepCurve,
 };
 pub use eval::{
     Analysis, DesignEval, EvalError, EvalFailure, Evaluator, EvaluatorBuilder, QuarantineEntry,

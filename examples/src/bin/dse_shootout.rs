@@ -5,7 +5,6 @@
 //! cargo run -p archx-examples --release --bin dse_shootout [SIM_BUDGET]
 //! ```
 
-use archexplorer::dse::campaign::Campaign;
 use archexplorer::dse::prelude::*;
 use archexplorer::workloads::spec06_suite;
 
@@ -27,7 +26,9 @@ fn main() {
         "running {} methods, {budget} simulations each...",
         Method::ALL.len()
     );
-    let campaign = Campaign::run(&Method::ALL, &space, &suite, &cfg);
+    let campaign = CampaignRunner::new()
+        .run(&Method::ALL, &space, &suite, &cfg)
+        .expect("infallible without per-run setup hooks");
 
     let r = RefPoint::default();
     let step = (budget / 10).max(1);

@@ -84,7 +84,8 @@ fn parallel_sweep_matches_sequential_sweep() {
     let seeds = [1u64, 2, 3];
     let r = RefPoint::default();
 
-    let serial = archexplorer::dse::campaign::sweep(&methods, &space, &suite, &cfg, &seeds, &r, 4)
+    let serial = CampaignRunner::new()
+        .sweep(&methods, &space, &suite, &cfg, &seeds, &r, 4)
         .expect("serial sweep");
     let parallel = CampaignRunner::new()
         .parallel(ParallelConfig::with_jobs(3))

@@ -90,25 +90,38 @@ fn campaign_store_results_match_per_run_generation() {
 fn arena_reuse_is_byte_identical_to_fresh_allocation() {
     let suite = suite(2);
     let designs = [MicroArch::baseline(), MicroArch::tiny()];
-    let build = |arena: bool| {
+    let build = || {
         Evaluator::builder(suite.clone())
             .window(2_000)
             .seed(1)
             .trace_store(Arc::new(TraceStore::new()))
             .threads(1)
-            .arena_reuse(arena)
             .build()
     };
-    let cold = build(false);
-    let warm = build(true);
-    for arch in &designs {
-        let a = cold
+    // Cold: every design on a freshly spawned thread, which starts with a
+    // fresh thread-local evaluation arena. Warm: every design in sequence
+    // on this thread, reusing one arena throughout.
+    let cold_ev = build();
+    let cold: Vec<DesignEval> = designs
+        .iter()
+        .map(|arch| {
+            std::thread::scope(|s| {
+                s.spawn(|| cold_ev.evaluate_with(arch, Analysis::NewDeg))
+                    .join()
+                    .expect("evaluation thread")
+            })
+            .expect("evaluates")
+        })
+        .collect();
+    let warm_ev = build();
+    for (arch, cold) in designs.iter().zip(&cold) {
+        let warm = warm_ev
             .evaluate_with(arch, Analysis::NewDeg)
             .expect("evaluates");
-        let b = warm
-            .evaluate_with(arch, Analysis::NewDeg)
-            .expect("evaluates");
-        assert_eq!(a, b, "arena reuse must not change results for {arch}");
+        assert_eq!(
+            &warm, cold,
+            "arena reuse must not change results for {arch}"
+        );
     }
 }
 
