@@ -42,7 +42,7 @@ fn main() {
             let mut arch = MicroArch::baseline();
             arch.bp_kind = kind;
             let r = OooCore::new(arch).run(&trace).expect("simulates");
-            let mut deg = induce(build_deg(&r));
+            let mut deg = build_deg(&r);
             let path = archexplorer::deg::critical::critical_path(&mut deg);
             let rep = archexplorer::deg::bottleneck::analyze(&deg, &path);
             t.row([

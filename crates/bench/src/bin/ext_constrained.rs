@@ -23,12 +23,7 @@ fn main() {
     let area_cap: f64 = args.get_f64("area_cap", 4.5);
     let limit = args.get_usize("workloads", 6);
 
-    let mut suite: Vec<Workload> = spec06_suite();
-    suite.truncate(limit.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = truncate_suite(spec06_suite(), limit.max(1));
     let space = DesignSpace::table4();
     let objective = Objective::ConstrainedPerf {
         power_cap,

@@ -41,7 +41,7 @@ fn main() {
         let spec = OooCore::new(spec_arch).run(&trace).expect("simulates");
         c_sum += cons.stats.ipc();
         s_sum += spec.stats.ipc();
-        let mut deg = induce(build_deg(&spec));
+        let mut deg = build_deg(&spec);
         let path = archexplorer::deg::critical::critical_path(&mut deg);
         let rep = archexplorer::deg::bottleneck::analyze(&deg, &path);
         assert_eq!(

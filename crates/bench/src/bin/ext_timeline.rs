@@ -52,7 +52,7 @@ fn main() {
     let r = OooCore::new(MicroArch::baseline())
         .run(&program.generate(instrs, 1))
         .expect("simulates");
-    let mut deg = induce(build_deg(&r));
+    let mut deg = build_deg(&r);
     let path = archexplorer::deg::critical::critical_path(&mut deg);
     let windows = timeline(&deg, &path, bins);
 

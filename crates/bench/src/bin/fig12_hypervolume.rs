@@ -163,14 +163,7 @@ fn main() {
             .max(1),
     };
 
-    let trim = |mut v: Vec<Workload>| {
-        v.truncate(limit.max(1));
-        let w = 1.0 / v.len() as f64;
-        for x in &mut v {
-            x.weight = w;
-        }
-        v
-    };
+    let trim = |v: Vec<Workload>| truncate_suite(v, limit.max(1));
     let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| cfg.seed + i).collect();
     if which == "spec06" || which == "both" {
         if n_seeds > 1 {

@@ -27,12 +27,7 @@ fn main() {
         ..CampaignConfig::default()
     };
     let limit = args.get_usize("workloads", usize::MAX);
-    let mut suite = spec06_suite();
-    suite.truncate(limit.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = truncate_suite(spec06_suite(), limit.max(1));
 
     let methods = [
         Method::ArchExplorer,

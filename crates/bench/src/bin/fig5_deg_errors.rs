@@ -40,7 +40,7 @@ fn main() {
     for w in &suite {
         let r = core.run(&w.generate(instrs, 1)).expect("simulates");
         let (est, _) = CalipersModel::from_arch(&arch).analyze(&r);
-        let mut deg = induce(build_deg(&r));
+        let mut deg = build_deg(&r);
         let path = critical_path(&mut deg);
         let static_err = 100.0 * (est as f64 / r.trace.cycles as f64 - 1.0);
         let new_err = 100.0 * (path.total_delay as f64 / r.trace.cycles as f64 - 1.0);
@@ -74,7 +74,7 @@ fn main() {
         .expect("suite contains hmmer");
     let r = core.run(&hmmer.generate(instrs, 1)).expect("simulates");
     let (est, static_rep) = CalipersModel::from_arch(&arch).analyze(&r);
-    let mut deg = induce(build_deg(&r));
+    let mut deg = build_deg(&r);
     let path = archexplorer::deg::critical::critical_path(&mut deg);
     let new_rep = bottleneck::analyze(&deg, &path);
 

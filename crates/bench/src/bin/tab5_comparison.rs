@@ -43,12 +43,8 @@ fn main() {
             .max(1),
     };
 
-    for (name, mut suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
-        suite.truncate(limit.max(1));
-        let w = 1.0 / suite.len() as f64;
-        for x in &mut suite {
-            x.weight = w;
-        }
+    for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
+        let suite = truncate_suite(suite, limit.max(1));
         let methods = [
             Method::ArchRanker,
             Method::AdaBoost,

@@ -97,12 +97,7 @@ fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String
 fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
     use archexplorer::dse::eval::{Analysis, Evaluator};
     let arch = arch_with_overrides(kv)?;
-    let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX)?.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = truncate_suite(workloads_of(kv)?, get(kv, "workloads", usize::MAX)?.max(1));
     let evaluator = Evaluator::builder(suite)
         .window(get(kv, "instrs", 20_000)?)
         .seed(get(kv, "seed", 1)?)
@@ -141,12 +136,7 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("archexplorer"),
     )?;
-    let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX)?.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = truncate_suite(workloads_of(kv)?, get(kv, "workloads", usize::MAX)?.max(1));
     let cfg = CampaignConfig {
         sim_budget: get(kv, "budget", 240)?,
         instrs_per_workload: get(kv, "instrs", 20_000)?,
@@ -250,12 +240,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         Some(list) => parse_seeds(list)?,
         None => vec![get(kv, "seed", 1u64)?],
     };
-    let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX)?.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = truncate_suite(workloads_of(kv)?, get(kv, "workloads", usize::MAX)?.max(1));
     let jobs = get(kv, "jobs", 1usize)?.max(1);
     let parallel = ParallelConfig {
         jobs,

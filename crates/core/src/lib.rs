@@ -61,5 +61,5 @@ pub mod prelude {
     pub use archx_dse::prelude::*;
     pub use archx_power::{PowerModel, PpaResult};
     pub use archx_sim::{MicroArch, OooCore, SimStats};
-    pub use archx_workloads::{spec06_suite, spec17_suite, Workload};
+    pub use archx_workloads::{spec06_suite, spec17_suite, truncate_suite, Workload};
 }

@@ -7,7 +7,7 @@ use archx_dse::eval::{Analysis, DesignEval, EvalFailure, Evaluator, RunLog};
 use archx_dse::space::DesignSpace;
 use archx_sim::MicroArch;
 use archx_telemetry::ProgressSink;
-use archx_workloads::{spec06_suite, spec17_suite, TraceStore, Workload};
+use archx_workloads::{spec06_suite, spec17_suite, truncate_suite, TraceStore, Workload};
 use std::sync::Arc;
 
 /// Which bundled workload suite to use.
@@ -164,12 +164,7 @@ impl SessionBuilder {
     /// Builds the session (resolves the workload traces through the
     /// trace store, synthesising only those not already shared).
     pub fn build(self) -> Session {
-        let mut suite = self.suite.workloads();
-        suite.truncate(self.workload_limit);
-        let w = 1.0 / suite.len() as f64;
-        for wl in &mut suite {
-            wl.weight = w;
-        }
+        let suite = truncate_suite(self.suite.workloads(), self.workload_limit);
         let store = self.trace_store.unwrap_or_else(TraceStore::global);
         let evaluator = build_evaluator_in(&suite, &self.cfg, Arc::clone(&store));
         Session {

@@ -149,7 +149,8 @@ impl fmt::Display for BottleneckSource {
     }
 }
 
-fn resource_source(kind: ResourceKind) -> BottleneckSource {
+/// The queue or register file a skewed `Resource` edge blames.
+pub(crate) fn resource_source(kind: ResourceKind) -> BottleneckSource {
     match kind {
         ResourceKind::Rob => BottleneckSource::Rob,
         ResourceKind::Iq => BottleneckSource::Iq,
@@ -160,7 +161,8 @@ fn resource_source(kind: ResourceKind) -> BottleneckSource {
     }
 }
 
-fn fu_source(kind: FuKind) -> BottleneckSource {
+/// The functional-unit class a skewed `Fu` edge blames.
+pub(crate) fn fu_source(kind: FuKind) -> BottleneckSource {
     match kind {
         FuKind::IntAlu => BottleneckSource::IntAlu,
         FuKind::IntMultDiv => BottleneckSource::IntMultDiv,
@@ -224,42 +226,13 @@ pub fn analyze(deg: &Deg, path: &CriticalPath) -> BottleneckReport {
         if w == 0 {
             continue;
         }
-        match e.kind {
-            EdgeKind::Resource(kind) => cycles[resource_source(kind).index()] += w,
-            EdgeKind::Fu(kind) => cycles[fu_source(kind).index()] += w,
-            EdgeKind::Mispredict => cycles[BottleneckSource::BPred.index()] += w,
-            EdgeKind::Data => cycles[BottleneckSource::TrueDep.index()] += w,
-            EdgeKind::FetchSlot | EdgeKind::FetchBw => {
-                cycles[BottleneckSource::FetchQueue.index()] += w
-            }
-            EdgeKind::MemDep => cycles[BottleneckSource::MemDep.index()] += w,
-            EdgeKind::Virtual => cycles[BottleneckSource::Unattributed.index()] += w,
-            EdgeKind::Pipeline => {
-                let (_, stage) = deg.locate(e.from);
-                let (base, excess_src) = match stage {
-                    // I-cache access: hit latency is irreducible, the rest
-                    // is miss time.
-                    Stage::F1 => (L1_HIT_CYCLES, BottleneckSource::ICache),
-                    // Waiting in the fetch buffer for fetch-queue space.
-                    Stage::F2 => (0, BottleneckSource::FetchQueue),
-                    // Front-end bandwidth.
-                    Stage::F | Stage::Dc => (1, BottleneckSource::Width),
-                    Stage::R => (1, BottleneckSource::Base),
-                    // Waiting in the issue queue beyond the dispatch cycle
-                    // (scheduling/bandwidth; operand and FU waits have their
-                    // own skewed edges).
-                    Stage::Dp => (0, BottleneckSource::Width),
-                    Stage::I => (1, BottleneckSource::Base),
-                    // Memory time beyond the L1 hit: D-cache misses.
-                    Stage::M => (L1_HIT_CYCLES, BottleneckSource::DCache),
-                    // Commit-order wait beyond the writeback cycle.
-                    Stage::P => (1, BottleneckSource::Width),
-                    Stage::C => (0, BottleneckSource::Base),
-                };
-                let base_part = w.min(base);
-                cycles[BottleneckSource::Base.index()] += base_part;
-                cycles[excess_src.index()] += w - base_part;
-            }
+        if let EdgeKind::Pipeline = e.kind {
+            let (base, excess) = pipeline_split(deg.locate(e.from).1);
+            let base_part = w.min(base);
+            cycles[BottleneckSource::Base.index()] += base_part;
+            cycles[excess.index()] += w - base_part;
+        } else {
+            cycles[attribute(deg, e).index()] += w;
         }
     }
     let length = path.total_delay.max(1);
@@ -322,8 +295,9 @@ pub fn timeline(deg: &Deg, path: &CriticalPath, bins: usize) -> Vec<BottleneckRe
         .collect()
 }
 
-/// The bottleneck source one edge's delay is attributed to (the rules of
-/// [`analyze`], factored out for reuse).
+/// The bottleneck source one edge's delay is attributed to. A pipeline
+/// edge's whole span goes to its stage's excess source; [`analyze`] first
+/// splits off the irreducible base part.
 fn attribute(deg: &Deg, e: &crate::graph::Edge) -> BottleneckSource {
     match e.kind {
         EdgeKind::Resource(kind) => resource_source(kind),
@@ -333,18 +307,32 @@ fn attribute(deg: &Deg, e: &crate::graph::Edge) -> BottleneckSource {
         EdgeKind::FetchSlot | EdgeKind::FetchBw => BottleneckSource::FetchQueue,
         EdgeKind::MemDep => BottleneckSource::MemDep,
         EdgeKind::Virtual => BottleneckSource::Unattributed,
-        EdgeKind::Pipeline => {
-            // Coarse: assign the whole span to the excess source of the
-            // stage (the per-cycle base split is only done in `analyze`).
-            let (_, stage) = deg.locate(e.from);
-            match stage {
-                Stage::F1 => BottleneckSource::ICache,
-                Stage::F2 => BottleneckSource::FetchQueue,
-                Stage::F | Stage::Dc | Stage::Dp | Stage::P => BottleneckSource::Width,
-                Stage::M => BottleneckSource::DCache,
-                _ => BottleneckSource::Base,
-            }
-        }
+        EdgeKind::Pipeline => pipeline_split(deg.locate(e.from).1).1,
+    }
+}
+
+/// A pipeline edge leaving `stage`: its irreducible base cycles and the
+/// source its excess beyond them is blamed on.
+fn pipeline_split(stage: Stage) -> (u64, BottleneckSource) {
+    match stage {
+        // I-cache access: hit latency is irreducible, the rest is miss
+        // time.
+        Stage::F1 => (L1_HIT_CYCLES, BottleneckSource::ICache),
+        // Waiting in the fetch buffer for fetch-queue space.
+        Stage::F2 => (0, BottleneckSource::FetchQueue),
+        // Front-end bandwidth.
+        Stage::F | Stage::Dc => (1, BottleneckSource::Width),
+        Stage::R => (1, BottleneckSource::Base),
+        // Waiting in the issue queue beyond the dispatch cycle
+        // (scheduling/bandwidth; operand and FU waits have their own
+        // skewed edges).
+        Stage::Dp => (0, BottleneckSource::Width),
+        Stage::I => (1, BottleneckSource::Base),
+        // Memory time beyond the L1 hit: D-cache misses.
+        Stage::M => (L1_HIT_CYCLES, BottleneckSource::DCache),
+        // Commit-order wait beyond the writeback cycle.
+        Stage::P => (1, BottleneckSource::Width),
+        Stage::C => (0, BottleneckSource::Base),
     }
 }
 

@@ -61,6 +61,20 @@ impl Workload {
     }
 }
 
+/// Keeps the first `n` workloads of `suite` and rescales their weights to
+/// sum to one, preserving the ratios between them (paper Eq. 2). A suite
+/// whose kept weights are all equal gets exactly `1.0 / len` each.
+pub fn truncate_suite(mut suite: Vec<Workload>, n: usize) -> Vec<Workload> {
+    suite.truncate(n);
+    let uniform = suite.windows(2).all(|p| p[0].weight == p[1].weight);
+    let total: f64 = suite.iter().map(|w| w.weight).sum();
+    let len = suite.len() as f64;
+    for w in &mut suite {
+        w.weight = if uniform { 1.0 / len } else { w.weight / total };
+    }
+    suite
+}
+
 fn wl(name: &'static str, spec: WorkloadSpec) -> Workload {
     debug_assert!(spec.validate().is_ok(), "workload {name} invalid");
     Workload::new(name, spec)
@@ -121,7 +135,7 @@ const MB: u64 = 1 << 20;
 
 /// The 12-workload SPEC CPU2006-like suite with uniform weights.
 pub fn spec06_suite() -> Vec<Workload> {
-    let mut v = vec![
+    let v = vec![
         // Integer compression: moderate memory, fairly predictable.
         wl(
             "401.bzip2",
@@ -275,16 +289,13 @@ pub fn spec06_suite() -> Vec<Workload> {
             ),
         ),
     ];
-    let w = 1.0 / v.len() as f64;
-    for x in &mut v {
-        x.weight = w;
-    }
-    v
+    let n = v.len();
+    truncate_suite(v, n)
 }
 
 /// The 14-workload SPEC CPU2017-like suite with uniform weights.
 pub fn spec17_suite() -> Vec<Workload> {
-    let mut v = vec![
+    let v = vec![
         wl(
             "600.perlbench_s",
             spec_of(
@@ -457,11 +468,8 @@ pub fn spec17_suite() -> Vec<Workload> {
             ),
         ),
     ];
-    let w = 1.0 / v.len() as f64;
-    for x in &mut v {
-        x.weight = w;
-    }
-    v
+    let n = v.len();
+    truncate_suite(v, n)
 }
 
 #[cfg(test)]
@@ -481,6 +489,21 @@ mod tests {
         }
         let sum06: f64 = s06.iter().map(|w| w.weight).sum();
         assert!((sum06 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn truncate_suite_keeps_weight_ratios() {
+        let s = spec06_suite();
+        let mut weighted = s[..3].to_vec();
+        weighted[0].weight = 3.0;
+        weighted[1].weight = 1.0;
+        let kept = truncate_suite(weighted, 2);
+        assert_eq!(kept.len(), 2);
+        assert_eq!((kept[0].weight, kept[1].weight), (0.75, 0.25));
+        // A uniform suite stays exactly uniform, bit for bit.
+        for w in truncate_suite(s, 3) {
+            assert_eq!(w.weight, 1.0 / 3.0);
+        }
     }
 
     #[test]

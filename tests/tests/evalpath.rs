@@ -6,15 +6,12 @@
 use archexplorer::dse::campaign::{CampaignConfig, CampaignRunner, ParallelConfig, RunSpec};
 use archexplorer::prelude::*;
 use archexplorer::workloads::TraceStore;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 fn suite(n: usize) -> Vec<Workload> {
-    let mut s: Vec<_> = spec06_suite().into_iter().take(n).collect();
-    let w = 1.0 / s.len() as f64;
-    for wl in &mut s {
-        wl.weight = w;
-    }
-    s
+    truncate_suite(spec06_suite(), n)
 }
 
 #[test]
@@ -89,7 +86,14 @@ fn campaign_store_results_match_per_run_generation() {
 #[test]
 fn arena_reuse_is_byte_identical_to_fresh_allocation() {
     let suite = suite(2);
-    let designs = [MicroArch::baseline(), MicroArch::tiny()];
+    // The two fixed designs plus seeded random points of the Table 4
+    // lattice.
+    let space = DesignSpace::table4();
+    let mut rng = StdRng::seed_from_u64(1);
+    let designs: Vec<MicroArch> = [MicroArch::baseline(), MicroArch::tiny()]
+        .into_iter()
+        .chain((0..6).map(|_| space.random(&mut rng)))
+        .collect();
     let build = || {
         Evaluator::builder(suite.clone())
             .window(2_000)
