@@ -148,6 +148,7 @@ pub fn build_deg_window_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_deg;
     use archx_sim::{trace_gen, MicroArch, OooCore};
 
     fn run(n: usize) -> SimResult {
@@ -164,7 +165,7 @@ mod tests {
         assert_eq!(g.node_count(), 5000);
         // At least the 9 pipeline edges per instruction.
         assert!(g.edge_count() >= 9 * 500);
-        g.validate().expect("well-formed DEG");
+        validate_deg(&g).expect("well-formed DEG");
     }
 
     #[test]
@@ -216,7 +217,7 @@ mod tests {
         let r = run(1_000);
         let g = build_deg_window(&r, 500, 1_000);
         assert_eq!(g.instr_count(), 500);
-        g.validate().expect("windowed DEG well-formed");
+        validate_deg(&g).expect("windowed DEG well-formed");
     }
 
     #[test]

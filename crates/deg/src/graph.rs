@@ -8,7 +8,6 @@
 //! vertices".
 
 use archx_sim::trace::{Cycle, FuKind, InstrIdx, ResourceKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Vertex identifier.
@@ -19,7 +18,7 @@ pub type NodeId = u32;
 /// `M` exists for every instruction to keep the vertex layout uniform; for
 /// non-memory instructions its time equals the issue time, making the
 /// `I→M` edge a zero-interval pipeline edge (the paper's `I(i)→P(i)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// I-cache request.
     F1,
@@ -87,7 +86,7 @@ pub const STAGES_PER_INSTR: u32 = 10;
 
 /// Edge types of the new DEG formulation (Table 2) plus the induced DEG's
 /// virtual edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Horizontal pipeline dependence within one instruction.
     Pipeline,
@@ -140,7 +139,7 @@ impl EdgeKind {
 }
 
 /// A directed edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source vertex.
     pub from: NodeId,
@@ -156,7 +155,7 @@ pub struct Edge {
 /// instruction with their event times); [`Deg::add_edge`] appends edges
 /// (which must go forward in the topological key order); analysis passes
 /// then use [`Deg::topo_order`] and [`Deg::out_edges`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deg {
     /// Event time per vertex, indexed by `NodeId`.
     times: Vec<Cycle>,
@@ -165,10 +164,8 @@ pub struct Deg {
     /// Number of instructions in the window.
     instrs: u32,
     /// CSR over outgoing edges, built lazily by `freeze`.
-    #[serde(skip)]
     csr_starts: Vec<u32>,
     /// Edge indices sorted by source, aligned with `csr_starts`.
-    #[serde(skip)]
     csr_edges: Vec<u32>,
 }
 
@@ -400,27 +397,12 @@ impl Deg {
             .iter()
             .map(move |&i| &self.edges[i as usize])
     }
-
-    /// Validates all structural invariants (all edges forward, weights
-    /// non-negative). Intended for tests.
-    pub fn validate(&self) -> Result<(), String> {
-        for e in &self.edges {
-            if !self.is_forward(e.from, e.to) {
-                return Err(format!(
-                    "edge {:?} -> {:?} ({:?}) violates topological order",
-                    self.locate(e.from),
-                    self.locate(e.to),
-                    e.kind
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_deg;
 
     fn tiny_graph() -> Deg {
         // Two instructions; strictly increasing times per stage.
@@ -479,7 +461,7 @@ mod tests {
         for e in g.edges() {
             assert!(pos[&e.from] < pos[&e.to]);
         }
-        assert!(g.validate().is_ok());
+        assert!(validate_deg(&g).is_ok());
     }
 
     #[test]

@@ -347,6 +347,7 @@ impl<'a> VirtualEdges<'a> {
 mod tests {
     use super::*;
     use crate::build::build_deg;
+    use crate::validate::validate_deg;
     use archx_sim::{trace_gen, MicroArch, OooCore};
 
     fn induced_of(n: usize) -> Deg {
@@ -367,7 +368,7 @@ mod tests {
         assert!(ind.edge_count() >= base_edges);
         let added = &ind.edges()[base_edges..];
         assert!(added.iter().all(|e| e.kind == EdgeKind::Virtual));
-        ind.validate().expect("induced DEG well-formed");
+        validate_deg(&ind).expect("induced DEG well-formed");
     }
 
     #[test]

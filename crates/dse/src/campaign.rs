@@ -29,20 +29,18 @@ use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
 use crate::eval::{Evaluator, EvaluatorBuilder, RunLog, SimLimits};
-use crate::governor::ThreadGovernor;
+use crate::governor::{run_ordered, ThreadGovernor};
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
 use archx_telemetry::{self as telemetry, LabelledSink, ProgressSink};
 use archx_workloads::{TraceStore, Workload};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The DSE methods under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Bottleneck-removal-driven search with the new DEG (this paper).
     ArchExplorer,
@@ -212,7 +210,7 @@ pub fn run_method_on(
 }
 
 /// One unit of campaign work: a method run under a specific search seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunSpec {
     /// The method to run.
     pub method: Method,
@@ -404,6 +402,9 @@ impl<'a> CampaignRunner<'a> {
     /// spec's search seed; workload traces are pinned to
     /// `cfg.trace_seed.unwrap_or(cfg.seed)` for every run, so multi-seed
     /// campaigns measure search variance, not workload variance.
+    ///
+    /// On failure, returns the error of the first failing spec; specs after
+    /// it that have not started yet are skipped.
     pub fn run_specs(
         &self,
         specs: &[RunSpec],
@@ -448,33 +449,23 @@ impl<'a> CampaignRunner<'a> {
             ))
         };
 
-        if jobs <= 1 {
-            return specs.iter().map(run_one).collect();
-        }
-
-        // Worker pool with deterministic, pre-allocated result slots:
-        // workers pull the next spec index and write into slots[i], so
-        // the output order is the caller's spec order however the runs
-        // interleave.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RunLog, CampaignError>>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        crossbeam::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(run_one(&specs[i]));
-                });
+        // Fail fast: once a run fails, later specs are skipped. Only the
+        // first failure in spec order is returned, so their outcomes
+        // could never be observed.
+        let first_failure = AtomicUsize::new(usize::MAX);
+        run_ordered(specs.len(), jobs, |i| {
+            if first_failure.load(Ordering::Relaxed) < i {
+                return None;
             }
+            let outcome = run_one(&specs[i]);
+            if outcome.is_err() {
+                first_failure.fetch_min(i, Ordering::Relaxed);
+            }
+            Some(outcome)
         })
-        .expect("campaign jobs do not panic");
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every spec ran"))
-            .collect()
+        .into_iter()
+        .map(|outcome| outcome.expect("every run before the first failure ran"))
+        .collect()
     }
 
     /// Runs `methods` at `cfg.seed` and collects the campaign.
@@ -537,7 +528,7 @@ impl<'a> CampaignRunner<'a> {
 }
 
 /// Result of a full campaign: one log per method.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Campaign {
     /// Per-method run logs.
     pub logs: Vec<RunLog>,
@@ -577,7 +568,7 @@ impl Campaign {
 /// Mean ± standard deviation of one method's hypervolume curve over
 /// several seeds (the paper's curves are single runs; seed sweeps add the
 /// error bars reviewers ask for).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCurve {
     /// Method label.
     pub method: String,
@@ -669,6 +660,40 @@ mod tests {
         assert_eq!(curves.len(), Method::ALL.len());
         let hv = campaign.hv_at("Random", &RefPoint::default(), 16);
         assert!(hv.is_some());
+    }
+
+    #[test]
+    fn a_failed_setup_skips_the_runs_after_it() {
+        let suite: Vec<_> = spec06_suite().into_iter().take(1).collect();
+        let cfg = CampaignConfig {
+            sim_budget: 4,
+            instrs_per_workload: 400,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let specs: Vec<RunSpec> = (1..=3)
+            .map(|seed| RunSpec {
+                method: Method::Random,
+                seed,
+            })
+            .collect();
+        let calls = AtomicUsize::new(0);
+        let setup = |spec: &RunSpec, _: &Evaluator| -> Result<(), String> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            match spec.seed {
+                1 => Err("journal unreadable".to_string()),
+                _ => Ok(()),
+            }
+        };
+        let err = CampaignRunner::new()
+            .setup(&setup)
+            .run_specs(&specs, &DesignSpace::table4(), &suite, &cfg)
+            .expect_err("the first run's setup fails");
+        match err {
+            CampaignError::Setup { run, .. } => assert_eq!(run, specs[0].label()),
+            other => panic!("wrong error: {other}"),
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "later runs never start");
     }
 
     #[test]

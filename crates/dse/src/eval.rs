@@ -21,7 +21,7 @@
 //! per workload regardless of outcome, so a budget always terminates even
 //! if every sampled design fails.
 
-use crate::governor::ThreadGovernor;
+use crate::governor::{lock, run_ordered, ThreadGovernor};
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
 use crate::pareto::{ExplorationSet, RefPoint};
 use archx_deg::{build_deg_in, critical, merge_reports, BottleneckReport, DegArena};
@@ -32,13 +32,11 @@ use archx_sim::pipeline::DEADLOCK_WATCHDOG;
 use archx_sim::{Cycle, MicroArch, OooCore, SimError};
 use archx_telemetry::{self as telemetry, Progress, ProgressSink};
 use archx_workloads::{TraceStore, Workload};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Per-worker-thread scratch memory for the evaluation hot path: the
@@ -66,7 +64,7 @@ thread_local! {
 type AttemptOutcome = Result<(PpaResult, Option<BottleneckReport>), EvalError>;
 
 /// Which bottleneck analysis to run alongside the simulations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Analysis {
     /// Simulation only.
     None,
@@ -79,7 +77,7 @@ pub enum Analysis {
 }
 
 /// Evaluation of one design over the whole suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignEval {
     /// Suite-average PPA (arithmetic mean of IPC and power; area is
     /// workload independent).
@@ -425,12 +423,12 @@ impl Evaluator {
 
     /// Snapshot of the quarantine log.
     pub fn quarantine(&self) -> Vec<QuarantineEntry> {
-        self.quarantine.lock().clone()
+        lock(&self.quarantine).clone()
     }
 
     /// Number of quarantined designs.
     pub fn quarantine_len(&self) -> usize {
-        self.quarantine.lock().len()
+        lock(&self.quarantine).len()
     }
 
     /// The configuration fingerprint a journal for this evaluator must
@@ -449,13 +447,13 @@ impl Evaluator {
     /// Attaches a write-ahead journal: every subsequent uncached
     /// evaluation is appended and flushed before its result is returned.
     pub fn set_journal(&self, journal: Journal) {
-        *self.journal.lock() = Some(journal);
+        *lock(&self.journal) = Some(journal);
     }
 
     /// The first journal-append error, if any occurred (appends never
     /// abort a campaign; the error is surfaced here instead).
     pub fn journal_error(&self) -> Option<String> {
-        self.journal_error.lock().clone()
+        lock(&self.journal_error).clone()
     }
 
     /// Replays journaled evaluations into the cache and the simulation
@@ -465,11 +463,11 @@ impl Evaluator {
         let replayed = records.len() as u64;
         let mut sims = 0u64;
         {
-            let mut cache = self.cache.lock();
+            let mut cache = lock(&self.cache);
             for rec in records {
                 sims += rec.sims_cost;
                 if let Err(failure) = &rec.outcome {
-                    self.quarantine.lock().push(QuarantineEntry {
+                    lock(&self.quarantine).push(QuarantineEntry {
                         arch: rec.arch,
                         workload: failure.workload.clone(),
                         error: failure.error.clone(),
@@ -487,7 +485,7 @@ impl Evaluator {
     /// Labels this evaluator's progress events (`source`, typically the
     /// search method's name) and the simulation budget they report against.
     pub fn set_progress_target(&self, source: impl Into<String>, sim_budget: u64) {
-        let mut meta = self.progress.lock();
+        let mut meta = lock(&self.progress);
         meta.source = source.into();
         meta.sim_budget = sim_budget;
     }
@@ -496,7 +494,7 @@ impl Evaluator {
     /// the global telemetry registry). One sink per evaluator; a second
     /// call replaces the first.
     pub fn set_progress_sink(&self, sink: Arc<dyn ProgressSink>) {
-        self.progress.lock().sink = Some(sink);
+        lock(&self.progress).sink = Some(sink);
     }
 
     /// Evaluates a design (simulation + PPA only, no bottleneck analysis).
@@ -524,7 +522,7 @@ impl Evaluator {
         arch: &MicroArch,
         analysis: Analysis,
     ) -> Result<DesignEval, EvalFailure> {
-        if let Some(hit) = self.cache.lock().get(arch) {
+        if let Some(hit) = lock(&self.cache).get(arch) {
             match hit {
                 Ok(eval) if analysis == Analysis::None || eval.analysis == analysis => {
                     telemetry::counter_add("eval/cache/hit", 1);
@@ -543,7 +541,7 @@ impl Evaluator {
         let outcome = self.evaluate_uncached(arch, analysis);
         let sims_cost = self.sim_count() - sims_before;
         if let Err(failure) = &outcome {
-            self.quarantine.lock().push(QuarantineEntry {
+            lock(&self.quarantine).push(QuarantineEntry {
                 arch: *arch,
                 workload: failure.workload.clone(),
                 error: failure.error.clone(),
@@ -552,7 +550,7 @@ impl Evaluator {
             telemetry::counter_add("eval/quarantine", 1);
             telemetry::counter_add(&format!("eval/failure/{}", failure.error.tag()), 1);
         }
-        self.cache.lock().insert(*arch, outcome.clone());
+        lock(&self.cache).insert(*arch, outcome.clone());
         self.journal_append(arch, analysis, sims_cost, &outcome);
         outcome
     }
@@ -564,7 +562,7 @@ impl Evaluator {
         sims_cost: u64,
         outcome: &Result<DesignEval, EvalFailure>,
     ) {
-        let mut guard = self.journal.lock();
+        let mut guard = lock(&self.journal);
         if let Some(journal) = guard.as_mut() {
             let rec = JournalRecord {
                 arch: *arch,
@@ -574,7 +572,7 @@ impl Evaluator {
             };
             if let Err(e) = journal.append(&rec) {
                 telemetry::counter_add("journal/error", 1);
-                let mut slot = self.journal_error.lock();
+                let mut slot = lock(&self.journal_error);
                 if slot.is_none() {
                     *slot = Some(e.to_string());
                 }
@@ -721,43 +719,13 @@ impl Evaluator {
             None => want,
         };
 
-        let mut outcomes: Vec<Option<AttemptOutcome>> = (0..n).map(|_| None).collect();
-        if workers <= 1 || n <= 1 {
-            for (i, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(guarded(i));
-            }
-        } else {
-            // One pre-allocated slot per workload index: each worker
-            // writes its outcome straight into its own slot, so workers
-            // never serialize on a shared results lock and no reorder
-            // pass is needed afterwards.
-            let next = AtomicU64::new(0);
-            let slots: Vec<Mutex<Option<AttemptOutcome>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            // The scope join itself cannot panic: every worker body is
-            // wrapped in `catch_unwind` above.
-            crossbeam::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= n {
-                            break;
-                        }
-                        *slots[i].lock() = Some(guarded(i));
-                    });
-                }
-            })
-            .expect("workers are panic-isolated");
-            for (slot, out) in slots.into_iter().zip(outcomes.iter_mut()) {
-                *out = slot.into_inner();
-            }
-        }
+        let outcomes = run_ordered(n, workers, guarded);
         drop(extra_lease);
 
         let mut per_workload = Vec::with_capacity(n);
         let mut reports: Vec<Option<BottleneckReport>> = Vec::with_capacity(n);
         for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome.expect("every workload ran") {
+            match outcome {
                 Ok((ppa, rep)) => {
                     per_workload.push(ppa);
                     reports.push(rep);
@@ -797,7 +765,7 @@ impl Evaluator {
     /// sinks.
     fn emit_progress(&self, ppa: PpaResult) {
         let (event, sink) = {
-            let mut meta = self.progress.lock();
+            let mut meta = lock(&self.progress);
             meta.set.push(ppa);
             meta.best_tradeoff = meta.best_tradeoff.max(ppa.tradeoff());
             let event = Progress {
@@ -827,7 +795,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One evaluated design within an exploration run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRecord {
     /// The design.
     pub arch: MicroArch,
@@ -838,7 +806,7 @@ pub struct EvalRecord {
 }
 
 /// Log of an exploration run: every design in evaluation order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     /// Method label.
     pub method: String,

@@ -23,8 +23,13 @@
 //!
 //! Permits are released through RAII [`Lease`] guards, so a panicking
 //! worker returns its permits like any other.
+//!
+//! Both layers fan their work out through one crate-private pool,
+//! `run_ordered`, and share one poisoning policy, `lock`.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A shared pool of thread permits bounding total campaign parallelism.
 #[derive(Debug)]
@@ -52,19 +57,19 @@ impl ThreadGovernor {
 
     /// Permits currently unclaimed.
     pub fn available(&self) -> usize {
-        *lock_ok(&self.available)
+        *lock(&self.available)
     }
 
     /// Blocks until one permit is free and takes it. Campaign jobs call
     /// this once per run; because each job holds at most this single
     /// blocking permit, acquisition order cannot deadlock.
     pub fn acquire(self: &Arc<Self>) -> Lease {
-        let mut available = lock_ok(&self.available);
+        let mut available = lock(&self.available);
         while *available == 0 {
             available = self
                 .freed
                 .wait(available)
-                .unwrap_or_else(|e| e.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
         *available -= 1;
         Lease {
@@ -78,7 +83,7 @@ impl ThreadGovernor {
     /// this for worker threads beyond the one their caller already
     /// represents.
     pub fn try_acquire(self: &Arc<Self>, want: usize) -> Lease {
-        let mut available = lock_ok(&self.available);
+        let mut available = lock(&self.available);
         let granted = want.min(*available);
         *available -= granted;
         Lease {
@@ -91,7 +96,7 @@ impl ThreadGovernor {
         if n == 0 {
             return;
         }
-        let mut available = lock_ok(&self.available);
+        let mut available = lock(&self.available);
         *available += n;
         debug_assert!(*available <= self.total, "permit over-release");
         drop(available);
@@ -99,8 +104,56 @@ impl ThreadGovernor {
     }
 }
 
-fn lock_ok(m: &Mutex<usize>) -> std::sync::MutexGuard<'_, usize> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Locks `m`, ignoring poisoning: the crate's one poisoning policy.
+/// Evaluator workers run under `catch_unwind`, and no critical section
+/// here leaves its guarded data half-updated, so a poisoned lock still
+/// guards a valid value and the next holder can use it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Computes `f(i)` for every `i` in `0..n` on up to `workers` scoped
+/// threads and returns the results in index order. Workers pull the next
+/// index from a shared counter, so uneven work balances itself.
+///
+/// With `workers <= 1` or `n <= 1` everything runs inline on the caller's
+/// thread, in index order, so its thread-local state (the evaluator's
+/// arena) carries over between calls. A panic in `f` propagates to the
+/// caller once every worker has stopped.
+pub(crate) fn run_ordered<T: Send>(
+    n: usize,
+    workers: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if workers <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = Vec::with_capacity(n);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(mine) => done.extend(mine),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// RAII holder of governor permits; returns them on drop.
@@ -126,7 +179,7 @@ impl Drop for Lease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn permits_are_bounded_and_returned() {
@@ -159,9 +212,9 @@ mod tests {
         let g = ThreadGovernor::new(2);
         let running = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let _lease = g.acquire();
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
@@ -169,12 +222,72 @@ mod tests {
                     running.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-        })
-        .expect("no panics");
+        });
         assert!(
             peak.load(Ordering::SeqCst) <= 2,
             "governor must bound concurrency"
         );
         assert_eq!(g.available(), 2, "all permits returned");
+    }
+
+    #[test]
+    fn run_ordered_returns_index_order_under_uneven_work() {
+        let spin_until = |done: &dyn Fn() -> bool| {
+            while !done() {
+                std::thread::yield_now();
+            }
+        };
+        for n in [0usize, 1, 7] {
+            for workers in [1, 2, n, n + 3] {
+                let started_1 = AtomicBool::new(false);
+                let finished = AtomicUsize::new(0);
+                let out = run_ordered(n, workers, |i| {
+                    // On a pool, the worker holding index 0 cannot take
+                    // index 1, and index 1 finishes last: one worker hands
+                    // back [0, 2, 3, ..] and another [1].
+                    if workers > 1 && n > 1 {
+                        match i {
+                            0 => spin_until(&|| started_1.load(Ordering::SeqCst)),
+                            1 => {
+                                started_1.store(true, Ordering::SeqCst);
+                                spin_until(&|| finished.load(Ordering::SeqCst) == n - 1);
+                            }
+                            _ => {}
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i * 10
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * 10).collect();
+                assert_eq!(out, want, "n={n} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 failed")]
+    fn run_ordered_propagates_a_worker_panic() {
+        run_ordered(7, 3, |i| {
+            if i == 3 {
+                panic!("index 3 failed");
+            }
+            i
+        });
+    }
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Mutex::new(41);
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut guard = m.lock().unwrap();
+                *guard += 1;
+                panic!("holder dies with the lock held");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err());
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 42);
     }
 }

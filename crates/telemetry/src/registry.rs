@@ -552,14 +552,14 @@ mod tests {
         let reg = Registry::new();
         let threads = 8;
         let per_thread = 10_000u64;
-        crossbeam_free_scope(&reg, threads, per_thread);
+        bump_counter_from_threads(&reg, threads, per_thread);
         assert_eq!(
             reg.counter_value("test/concurrent"),
             threads as u64 * per_thread
         );
     }
 
-    fn crossbeam_free_scope(reg: &Registry, threads: usize, per_thread: u64) {
+    fn bump_counter_from_threads(reg: &Registry, threads: usize, per_thread: u64) {
         thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| {
