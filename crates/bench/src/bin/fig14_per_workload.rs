@@ -8,8 +8,9 @@
 //!     [budget=N] [instrs=N] [seed=S] [workloads=N]
 //! ```
 
-use archexplorer::dse::campaign::{build_evaluator, CampaignConfig, CampaignRunner};
+use archexplorer::dse::campaign::{build_evaluator_in, CampaignConfig, CampaignRunner};
 use archexplorer::prelude::*;
+use archexplorer::workloads::TraceStore;
 use archx_bench::{Args, Table};
 
 fn main() {
@@ -52,7 +53,7 @@ fn main() {
             })
             .collect();
 
-        let evaluator = build_evaluator(&suite, &cfg);
+        let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
         let mut header = vec!["workload".to_string()];
         header.extend(best.iter().map(|(m, _)| m.clone()));
         let mut t = Table::new(header);

@@ -55,11 +55,12 @@ use archexplorer::cliopt::{
     parse_seeds, TelemetryMode,
 };
 use archexplorer::deg::prelude::*;
-use archexplorer::dse::campaign::{build_evaluator, run_method_on, CampaignConfig};
+use archexplorer::dse::campaign::{build_evaluator_in, run_method_on, CampaignConfig};
 use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
 use archexplorer::sim::extern_trace;
 use archexplorer::telemetry;
+use archexplorer::workloads::TraceStore;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -152,7 +153,7 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
         suite.len(),
         cfg.instrs_per_workload
     );
-    let evaluator = build_evaluator(&suite, &cfg);
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
     if get(kv, "progress", 0u8)? == 1 {
         evaluator.set_progress_sink(std::sync::Arc::new(StderrProgress));
     }

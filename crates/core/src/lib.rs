@@ -35,7 +35,7 @@
 //! println!("{}", report.render());
 //!
 //! // Explore: bottleneck-removal-driven DSE under a simulation budget.
-//! let log = session.explore(Method::ArchExplorer, 12).expect("exploration");
+//! let log = session.explore(Method::ArchExplorer, 12, None).expect("exploration");
 //! assert!(!log.records.is_empty());
 //!
 //! // Everything above was measured: dump the telemetry report.

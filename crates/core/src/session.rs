@@ -237,24 +237,10 @@ impl Session {
 
     /// Runs one DSE method for `sim_budget` simulations on a **fresh**
     /// evaluator (so methods never share caches or budgets) whose traces
-    /// come from the session's trace store.
-    pub fn explore(&self, method: Method, sim_budget: u64) -> Result<RunLog, SessionError> {
-        self.explore_inner(method, sim_budget, None)
-    }
-
-    /// Like [`Session::explore`], but streams per-evaluation progress
-    /// events (simulations done vs. budget, hypervolume, best trade-off)
-    /// to `sink` while the search runs.
-    pub fn explore_observed(
-        &self,
-        method: Method,
-        sim_budget: u64,
-        sink: Arc<dyn ProgressSink>,
-    ) -> Result<RunLog, SessionError> {
-        self.explore_inner(method, sim_budget, Some(sink))
-    }
-
-    fn explore_inner(
+    /// come from the session's trace store. With a `sink`, per-evaluation
+    /// progress events (simulations done vs. budget, hypervolume, best
+    /// trade-off) stream to it while the search runs.
+    pub fn explore(
         &self,
         method: Method,
         sim_budget: u64,
@@ -309,7 +295,7 @@ mod tests {
     fn explore_runs_each_method_fresh() {
         let s = tiny();
         let log = s
-            .explore(Method::Random, 6)
+            .explore(Method::Random, 6, None)
             .expect("nonzero budget explores");
         assert!(!log.records.is_empty());
         // The session evaluator is untouched by exploration.
@@ -326,7 +312,7 @@ mod tests {
             .trace_store(Arc::clone(&store))
             .build();
         let (hits, misses) = (store.hits(), store.misses());
-        s.explore(Method::Random, 4).expect("explores");
+        s.explore(Method::Random, 4, None).expect("explores");
         assert_eq!(
             store.hits(),
             hits + s.suite().len() as u64,
@@ -338,7 +324,7 @@ mod tests {
     #[test]
     fn explore_with_zero_budget_is_an_error() {
         let s = tiny();
-        let err = s.explore(Method::Random, 0).expect_err("zero budget");
+        let err = s.explore(Method::Random, 0, None).expect_err("zero budget");
         assert_eq!(
             err,
             SessionError::EmptyExploration {
@@ -355,7 +341,7 @@ mod tests {
         let sink = Arc::new(CollectingSink::new());
         let budget = 6;
         let log = s
-            .explore_observed(Method::Random, budget, sink.clone())
+            .explore(Method::Random, budget, Some(sink.clone()))
             .expect("explores");
         // Random search evaluates whole designs: with 2 workloads and a
         // budget of 6, exactly 3 designs = 6 simulations are reported.

@@ -8,17 +8,17 @@
 //!
 //! * the graph's own vectors (vertex times, edge list, CSR adjacency) are
 //!   handed to [`build_deg_in`](crate::build::build_deg_in) and travel
-//!   *inside* the returned [`Deg`] through the critical-path pass (and
-//!   `induce`, where a caller materialises the induced DEG), coming back
-//!   via [`DegArena::recycle`];
+//!   *inside* the returned [`Deg`] through the critical-path pass, coming
+//!   back via [`DegArena::recycle`];
 //! * the DP arrays, the topological-order buffers and the virtual-edge
 //!   generator's tables (skewed-endpoint flags, Rule 1 and Rule 2
 //!   candidate orders) are borrowed by
 //!   [`critical_path_in`](crate::critical::critical_path_in) and stay in
 //!   the arena.
 //!
-//! Everything is cleared (capacity kept) before reuse, so arena-built
-//! results are byte-identical to cold ones. Like
+//! Everything is cleared (capacity kept) before reuse, so a reused arena
+//! gives byte-identical results to a fresh one — and `build_deg` and
+//! `critical_path` are just their `_in` forms on a fresh arena. Like
 //! [`SimArena`](archx_sim::arena::SimArena), a `DegArena` belongs to one
 //! worker thread.
 

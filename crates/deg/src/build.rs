@@ -9,50 +9,22 @@
 
 use crate::arena::DegArena;
 use crate::graph::{Deg, EdgeKind, Stage};
-use archx_sim::trace::{InstrIdx, SimResult, NO_INSTR};
+use archx_sim::trace::{InstrIdx, SimResult};
 
 /// Builds the new-formulation DEG for a full simulation result.
 pub fn build_deg(result: &SimResult) -> Deg {
-    build_deg_window(result, 0, result.trace.events.len())
+    build_deg_in(&mut DegArena::new(), result)
 }
 
 /// Like [`build_deg`], but recycles graph storage from `arena` instead of
 /// allocating it — the campaign hot path. Hand the graph back with
 /// [`DegArena::recycle`] once analysis is done.
+///
+/// Producer and releaser indices outside the trace (`NO_INSTR`, "never
+/// held") name no vertex, so their edges are dropped.
 pub fn build_deg_in(arena: &mut DegArena, result: &SimResult) -> Deg {
-    build_deg_window_in(arena, result, 0, result.trace.events.len())
-}
-
-/// Builds the DEG over the half-open instruction window `[start, end)`.
-///
-/// Skewed edges whose source lies before the window are dropped (their
-/// producer is not represented), matching the paper's use of bounded
-/// instruction windows for critical-path analysis.
-///
-/// # Panics
-///
-/// Panics if the window is out of bounds or empty.
-pub fn build_deg_window(result: &SimResult, start: usize, end: usize) -> Deg {
-    build_deg_window_in(&mut DegArena::new(), result, start, end)
-}
-
-/// Windowed variant of [`build_deg_in`]; see [`build_deg_window`].
-///
-/// # Panics
-///
-/// Panics if the window is out of bounds or empty.
-pub fn build_deg_window_in(
-    arena: &mut DegArena,
-    result: &SimResult,
-    start: usize,
-    end: usize,
-) -> Deg {
-    assert!(
-        start < end && end <= result.trace.events.len(),
-        "bad window"
-    );
     let _timed = archx_telemetry::span("deg/build");
-    let events = &result.trace.events[start..end];
+    let events = &result.trace.events;
     let n = events.len() as u32;
 
     let mut parts = arena.take_parts();
@@ -65,22 +37,16 @@ pub fn build_deg_window_in(
     }
     let mut deg = Deg::from_parts(n, parts);
 
-    let in_window = |idx: InstrIdx| -> Option<InstrIdx> {
-        if idx == NO_INSTR {
-            return None;
-        }
-        let i = idx as usize;
-        (i >= start && i < end).then(|| (i - start) as InstrIdx)
-    };
+    let in_trace = |idx: InstrIdx| (idx < n).then_some(idx);
 
-    for (local, ev) in events.iter().enumerate() {
-        let j = local as InstrIdx;
+    for (j, ev) in events.iter().enumerate() {
+        let j = j as InstrIdx;
         // Pipeline chain F1→F2→F→DC→R→DP→I→M→P→C.
         for w in Stage::ALL.windows(2) {
             deg.add_edge(deg.node(j, w[0]), deg.node(j, w[1]), EdgeKind::Pipeline);
         }
         // Fetch-buffer slot dependence: F(releaser) → F1(j).
-        if let Some(from) = ev.fetch_slot_from.and_then(in_window) {
+        if let Some(from) = ev.fetch_slot_from.and_then(in_trace) {
             deg.add_edge(
                 deg.node(from, Stage::F),
                 deg.node(j, Stage::F1),
@@ -88,7 +54,7 @@ pub fn build_deg_window_in(
             );
         }
         // Fetch bandwidth / fetch-queue dependence: F(releaser) → F(j).
-        if let Some(from) = ev.fetch_bw_from.and_then(in_window) {
+        if let Some(from) = ev.fetch_bw_from.and_then(in_trace) {
             deg.add_edge(
                 deg.node(from, Stage::F),
                 deg.node(j, Stage::F),
@@ -96,7 +62,7 @@ pub fn build_deg_window_in(
             );
         }
         // Misprediction squash: P(branch) → F1(first refilled).
-        if let Some(from) = ev.refill_from.and_then(in_window) {
+        if let Some(from) = ev.refill_from.and_then(in_trace) {
             deg.add_edge(
                 deg.node(from, Stage::P),
                 deg.node(j, Stage::F1),
@@ -105,7 +71,7 @@ pub fn build_deg_window_in(
         }
         // Hardware-resource usage dependencies: R(releaser) → R(j).
         for stall in &ev.rename_stalls {
-            if let Some(rel) = in_window(stall.releaser) {
+            if let Some(rel) = in_trace(stall.releaser) {
                 deg.add_edge(
                     deg.node(rel, Stage::R),
                     deg.node(j, Stage::R),
@@ -115,7 +81,7 @@ pub fn build_deg_window_in(
         }
         // Functional-unit usage dependence: I(releaser) → I(j).
         if let Some(wait) = ev.fu_wait {
-            if let Some(rel) = in_window(wait.releaser) {
+            if let Some(rel) = in_trace(wait.releaser) {
                 deg.add_edge(
                     deg.node(rel, Stage::I),
                     deg.node(j, Stage::I),
@@ -125,7 +91,7 @@ pub fn build_deg_window_in(
         }
         // True data dependencies: I(producer) → I(j).
         for &d in &ev.data_deps {
-            if let Some(prod) = in_window(d) {
+            if let Some(prod) = in_trace(d) {
                 deg.add_edge(
                     deg.node(prod, Stage::I),
                     deg.node(j, Stage::I),
@@ -134,7 +100,7 @@ pub fn build_deg_window_in(
             }
         }
         // Memory-address-dependence misprediction: M(store) → C(load).
-        if let Some(store) = ev.mem_dep_violation.and_then(in_window) {
+        if let Some(store) = ev.mem_dep_violation.and_then(in_trace) {
             deg.add_edge(
                 deg.node(store, Stage::M),
                 deg.node(j, Stage::C),
@@ -213,14 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn window_drops_out_of_range_producers() {
-        let r = run(1_000);
-        let g = build_deg_window(&r, 500, 1_000);
-        assert_eq!(g.instr_count(), 500);
-        validate_deg(&g).expect("windowed DEG well-formed");
-    }
-
-    #[test]
     fn resource_edges_appear_under_pressure() {
         let mut arch = MicroArch::tiny();
         arch.rob_entries = 32;
@@ -236,12 +194,5 @@ mod tests {
             has_resource,
             "a tiny machine on a memory-bound trace must stall on resources"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "bad window")]
-    fn empty_window_panics() {
-        let r = run(10);
-        let _ = build_deg_window(&r, 5, 5);
     }
 }

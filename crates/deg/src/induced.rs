@@ -14,173 +14,46 @@
 //!   endpoint is connected to the skewed-edge start whose instruction
 //!   index is closest after its own.
 //!
-//! Two anchors keep the path spanning the whole window, mirroring the
+//! Two anchors keep the path spanning the whole trace, mirroring the
 //! virtual `R(I10)→C(I11)` edge of the paper's Figure 9(b): the first
 //! instruction's `F1` connects into the first skewed starts, and skewed
 //! ends with no onward connection link to the last instruction's commit.
 //!
-//! The rules depend only on the skewed-edge endpoints, so there are two
-//! ways to use them. [`induce`] materialises the virtual edges into the
-//! graph, for export, figures, statistics and the validation oracle.
-//! The critical-path sweep instead generates them per vertex as it
-//! visits the vertex (`VirtualEdges`), so the analysis hot path never
-//! stores them.
+//! The rules depend only on the skewed-edge endpoints, so one generator,
+//! [`VirtualEdges`], yields each vertex's virtual successors as a sweep in
+//! topological order reaches it. The critical-path sweep runs it directly
+//! and never stores the edges; [`induce`] runs the same sweep once and
+//! materialises them into the graph, for export, figures, statistics and
+//! the validation oracle.
 
 use crate::graph::{Deg, EdgeKind, NodeId, Stage};
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
-
-/// A cheap multiply-xor hasher for `(NodeId, NodeId)` pairs — the edge
-/// dedup set is the hottest structure of the induction pass.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl std::hash::Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-}
-
-type EdgeSet = HashSet<(NodeId, NodeId), BuildHasherDefault<PairHasher>>;
 
 /// Adds virtual edges to `deg`, producing the induced DEG.
 ///
-/// Statistics of the transformation are available by comparing
-/// [`Deg::edge_count`] before and after.
+/// Each vertex, in topological order, gains a `Virtual` edge to every
+/// target [`VirtualEdges`] generates for it, except a target it already
+/// has an edge to. Statistics of the transformation are available by
+/// comparing [`Deg::edge_count`] before and after.
 pub fn induce(mut deg: Deg) -> Deg {
     let _timed = archx_telemetry::span("deg/induce");
-    let n = deg.instr_count();
-    if n == 0 {
+    if deg.instr_count() == 0 {
         return deg;
     }
-    let source = deg.node(0, Stage::F1);
-    let sink = deg.node(n - 1, Stage::C);
-
-    // Collect skewed edges (their endpoints).
-    let skewed: Vec<(NodeId, NodeId)> = deg
-        .edges()
-        .iter()
-        .filter(|e| e.kind.is_skewed())
-        .map(|e| (e.from, e.to))
-        .collect();
-
-    if skewed.is_empty() {
-        // Fully parallel window: a single virtual edge keeps the graph
-        // connected from first fetch to last commit.
-        if deg.is_forward(source, sink) {
-            deg.add_edge(source, sink, EdgeKind::Virtual);
-        }
-        return deg;
-    }
-
-    // Unique skewed starts, sorted two ways for the two rules.
-    let mut starts: Vec<NodeId> = skewed.iter().map(|&(s, _)| s).collect();
-    starts.sort_unstable();
-    starts.dedup();
-    let mut by_key: Vec<NodeId> = starts.clone();
-    by_key.sort_by_key(|&s| deg.topo_key(s));
-    let keys: Vec<_> = by_key.iter().map(|&s| deg.topo_key(s)).collect();
-    let mut by_instr: Vec<NodeId> = starts.clone();
-    by_instr.sort_by_key(|&s| (deg.locate(s).0, deg.topo_key(s)));
-    let instrs_sorted: Vec<u32> = by_instr.iter().map(|&s| deg.locate(s).0).collect();
-
-    let mut seen: EdgeSet = deg.edges().iter().map(|e| (e.from, e.to)).collect();
-    let mut new_edges: Vec<(NodeId, NodeId)> = Vec::new();
-    // Returns whether a forward connection exists (freshly added or
-    // already present) — the caller uses this to decide sink anchoring.
-    let push = |deg: &Deg,
-                seen: &mut EdgeSet,
-                from: NodeId,
-                to: NodeId,
-                out: &mut Vec<(NodeId, NodeId)>|
-     -> bool {
-        if from == to || !deg.is_forward(from, to) {
-            return false;
-        }
-        if seen.insert((from, to)) {
-            out.push((from, to));
-        }
-        true
-    };
-
-    // Rule 1: the first start strictly after `node` in topological key
-    // order (all starts sharing that minimal time are connected, capped).
-    let rule1 = |deg: &Deg, node: NodeId, out: &mut [Option<NodeId>; 4]| {
-        *out = [None; 4];
-        let key = deg.topo_key(node);
-        let idx = keys.partition_point(|&k| k <= key);
-        if idx >= by_key.len() {
-            return;
-        }
-        let t0 = deg.time(by_key[idx]);
-        for (slot, &s) in out.iter_mut().zip(&by_key[idx..]) {
-            if deg.time(s) != t0 {
-                break;
+    deg.freeze();
+    let order = deg.topo_order();
+    let mut scratch = RuleScratch::default();
+    let mut virtuals = VirtualEdges::new(&mut scratch, &deg, &order);
+    let mut added: Vec<(NodeId, NodeId)> = Vec::new();
+    for &node in &order {
+        let first = added.len();
+        virtuals.visit(node, |to| {
+            let stored = deg.out_edges(node).any(|e| e.to == to);
+            if !stored && added[first..].iter().all(|&(_, t)| t != to) {
+                added.push((node, to));
             }
-            *slot = Some(s);
-        }
-    };
-    // Rule 2: the starts on the closest strictly-later instruction.
-    let rule2 = |deg: &Deg, node: NodeId, out: &mut [Option<NodeId>; 4]| {
-        *out = [None; 4];
-        let instr = deg.locate(node).0;
-        let idx = instrs_sorted.partition_point(|&i| i <= instr);
-        if idx >= by_instr.len() {
-            return;
-        }
-        let i0 = instrs_sorted[idx];
-        for (slot, (&s, &i)) in out
-            .iter_mut()
-            .zip(by_instr[idx..].iter().zip(&instrs_sorted[idx..]))
-        {
-            if i != i0 {
-                break;
-            }
-            *slot = Some(s);
-        }
-    };
-
-    // Entry anchor: F1 of the first instruction into the earliest starts.
-    let mut buf = [None; 4];
-    rule1(&deg, source, &mut buf);
-    for t in buf.into_iter().flatten() {
-        push(&deg, &mut seen, source, t, &mut new_edges);
+        });
     }
-    rule2(&deg, source, &mut buf);
-    for t in buf.into_iter().flatten() {
-        push(&deg, &mut seen, source, t, &mut new_edges);
-    }
-
-    for &(s, e) in &skewed {
-        let mut connected_onward = false;
-        for endpoint in [s, e] {
-            rule1(&deg, endpoint, &mut buf);
-            for t in buf.into_iter().flatten() {
-                let ok = push(&deg, &mut seen, endpoint, t, &mut new_edges);
-                connected_onward |= ok && endpoint == e;
-            }
-            rule2(&deg, endpoint, &mut buf);
-            for t in buf.into_iter().flatten() {
-                let ok = push(&deg, &mut seen, endpoint, t, &mut new_edges);
-                connected_onward |= ok && endpoint == e;
-            }
-        }
-        // Exit anchor: terminal skewed ends connect to the last commit.
-        if !connected_onward && e != sink {
-            push(&deg, &mut seen, e, sink, &mut new_edges);
-        }
-    }
-
-    for (from, to) in new_edges {
+    for (from, to) in added {
         deg.add_edge(from, to, EdgeKind::Virtual);
     }
     deg
@@ -208,14 +81,13 @@ pub(crate) struct RuleScratch {
     later: Vec<u32>,
 }
 
-/// The virtual edges [`induce`] would add, generated per vertex during a
-/// sweep in topological order instead of being stored in the graph.
+/// The induced DEG's virtual edges (Rules 1 and 2 and the two anchors),
+/// generated per vertex during a sweep in topological order.
 ///
 /// [`VirtualEdges::visit`] must see every vertex, in the order the sweep
 /// was prepared with: Rule 1 is served by a cursor that only moves
-/// forward. The targets of a vertex are the same set `induce` connects it
-/// to, except that an edge `induce` skips as a duplicate of an existing
-/// edge is generated anyway.
+/// forward. A generated target may duplicate an edge the graph already
+/// stores; [`induce`] skips those.
 pub(crate) struct VirtualEdges<'a> {
     deg: &'a Deg,
     flags: &'a [u8],
@@ -298,7 +170,7 @@ impl<'a> VirtualEdges<'a> {
         }
         let deg = self.deg;
         if self.by_key.is_empty() {
-            // Fully parallel window: first fetch straight to last commit.
+            // Fully parallel trace: first fetch straight to last commit.
             if deg.is_forward(node, self.sink) {
                 f(self.sink);
             }
@@ -349,6 +221,7 @@ mod tests {
     use crate::build::build_deg;
     use crate::validate::validate_deg;
     use archx_sim::{trace_gen, MicroArch, OooCore};
+    use std::collections::BTreeSet;
 
     fn induced_of(n: usize) -> Deg {
         let r = OooCore::new(MicroArch::baseline())
@@ -369,6 +242,87 @@ mod tests {
         let added = &ind.edges()[base_edges..];
         assert!(added.iter().all(|e| e.kind == EdgeKind::Virtual));
         validate_deg(&ind).expect("induced DEG well-formed");
+    }
+
+    /// Rules 1 and 2 and the anchors, written out independently of
+    /// `VirtualEdges`: every endpoint scans every skewed start.
+    fn reference_virtual_edges(deg: &Deg) -> BTreeSet<(NodeId, NodeId)> {
+        let n = deg.instr_count();
+        let (source, sink) = (deg.node(0, Stage::F1), deg.node(n - 1, Stage::C));
+        let skewed: Vec<_> = deg.edges().iter().filter(|e| e.kind.is_skewed()).collect();
+        let mut starts: Vec<NodeId> = skewed.iter().map(|e| e.from).collect();
+        starts.sort_by_key(|&s| deg.topo_key(s));
+        starts.dedup();
+        let ends: BTreeSet<NodeId> = skewed.iter().map(|e| e.to).collect();
+        let mut out = BTreeSet::new();
+        if starts.is_empty() {
+            out.insert((source, sink));
+        }
+        let endpoints = starts.iter().chain(&ends).chain([&source]);
+        for &v in endpoints {
+            let key = deg.topo_key(v);
+            let after: Vec<NodeId> = starts
+                .iter()
+                .copied()
+                .filter(|&s| deg.topo_key(s) > key)
+                .collect();
+            let rule1: Vec<NodeId> = after
+                .iter()
+                .copied()
+                .filter(|&s| deg.time(s) == deg.time(after[0]))
+                .take(RULE_FANOUT)
+                .collect();
+            let instr = deg.locate(v).0;
+            let closest = starts
+                .iter()
+                .map(|&s| deg.locate(s).0)
+                .filter(|&i| i > instr)
+                .min();
+            let rule2: Vec<NodeId> = starts
+                .iter()
+                .copied()
+                .filter(|&s| Some(deg.locate(s).0) == closest)
+                .take(RULE_FANOUT)
+                .filter(|&s| deg.topo_key(s) > key)
+                .collect();
+            out.extend(rule1.iter().chain(&rule2).map(|&t| (v, t)));
+            let stuck = rule1.is_empty() && rule2.is_empty();
+            if ends.contains(&v) && stuck && deg.topo_key(sink) > key {
+                out.insert((v, sink));
+            }
+        }
+        let stored: BTreeSet<_> = deg.edges().iter().map(|e| (e.from, e.to)).collect();
+        &out - &stored
+    }
+
+    #[test]
+    fn induce_adds_exactly_the_reference_rule_edges() {
+        let baseline = |trace: &[archx_sim::Instruction]| {
+            OooCore::new(MicroArch::baseline())
+                .run(trace)
+                .expect("simulates")
+        };
+        for r in [
+            baseline(&trace_gen::mixed_workload(800, 11)),
+            baseline(&trace_gen::random_branches(800, 3)),
+            OooCore::new(MicroArch::tiny())
+                .run(&trace_gen::pointer_chase(800, 8 << 20, 5))
+                .expect("simulates"),
+            baseline(&trace_gen::linear_int_chain(800)),
+            baseline(&trace_gen::independent_int_ops(4)),
+            baseline(&trace_gen::independent_int_ops(1)),
+        ] {
+            let base = build_deg(&r);
+            let expected = reference_virtual_edges(&base);
+            let induced = induce(base);
+            let got: BTreeSet<_> = induced
+                .edges()
+                .iter()
+                .filter(|e| e.kind == EdgeKind::Virtual)
+                .map(|e| (e.from, e.to))
+                .collect();
+            assert_eq!(got, expected, "{} instructions", r.trace.events.len());
+        }
     }
 
     #[test]

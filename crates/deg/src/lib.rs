@@ -13,8 +13,9 @@
 //! * [`induced`] — the **induced DEG** (Section 4.2): virtual edges added
 //!   by Rule 1 (connect via closest time) and Rule 2 (connect via closest
 //!   instruction sequence) so the critical path can chain consecutive
-//!   resource-usage dependencies. [`induce`] materialises them for
-//!   export, figures and validation;
+//!   resource-usage dependencies. One generator implements the rules;
+//!   [`induce`] materialises its edges for export, figures and
+//!   validation;
 //! * [`critical`] — **Algorithm 1**: dynamic-programming longest path over
 //!   a topological order, with edge costs chosen so the path is densely
 //!   composed of resource-usage dependencies. The sweep generates the
@@ -58,10 +59,7 @@ pub mod prelude {
     pub use crate::critical::{critical_path, critical_path_in, CriticalPath};
     pub use crate::graph::{Deg, EdgeKind, NodeId, Stage};
     pub use crate::induced::induce;
-    pub use crate::validate::{
-        validate_deg, validate_exactness, validate_exactness_window, validate_times,
-        ValidationError,
-    };
+    pub use crate::validate::{validate_deg, validate_exactness, validate_times, ValidationError};
 }
 
 pub use arena::DegArena;
@@ -71,6 +69,4 @@ pub use calipers::CalipersModel;
 pub use critical::{critical_path, critical_path_in, CriticalPath};
 pub use graph::{Deg, Edge, EdgeKind, NodeId, Stage};
 pub use induced::induce;
-pub use validate::{
-    validate_deg, validate_exactness, validate_exactness_window, validate_times, ValidationError,
-};
+pub use validate::{validate_deg, validate_exactness, validate_times, ValidationError};

@@ -4,11 +4,10 @@
 //! with every edge weight equal to a measured stage interval (Table 2),
 //! and Algorithm 1's critical-path length equals the simulated runtime.
 //! This module machine-checks both, plus the agreement of independent
-//! implementations of the same computation (allocating vs arena
-//! builders, the critical-path sweep that generates the induced DEG's
-//! virtual edges vs the plain dynamic program over the materialised
-//! induced DEG), forming the oracle hierarchy every later optimisation
-//! must pass:
+//! computations of the critical path (the sweep that generates the
+//! induced DEG's virtual edges vs the plain dynamic program over the
+//! materialised induced DEG), forming the oracle hierarchy every later
+//! optimisation must pass:
 //!
 //! 1. [`validate_deg`] — structure: acyclicity (every edge forward in the
 //!    topological key order), time-axis monotonicity along each
@@ -17,10 +16,10 @@
 //! 2. [`validate_times`] — the graph's vertex times are exactly the
 //!    simulator's event record (with implicit weights, this *is* the
 //!    weight/interval consistency of Table 2);
-//! 3. [`validate_exactness`] — the end-to-end oracle: builders agree,
-//!    structure holds before and after inducing, `critical_path_in` on
-//!    the built DEG, `critical_path_in` on the induced DEG and the plain
-//!    reference dynamic program on the induced DEG agree (as paths and as
+//! 3. [`validate_exactness`] — the end-to-end oracle: structure holds
+//!    before and after inducing, `critical_path_in` on the built DEG,
+//!    `critical_path_in` on the induced DEG and the plain reference
+//!    dynamic program on the induced DEG agree (as paths and as
 //!    bottleneck reports), and the path length equals `SimResult` cycles.
 //!
 //! Every failure increments a `verify/violation/<check>` telemetry
@@ -28,7 +27,7 @@
 
 use crate::arena::DegArena;
 use crate::bottleneck::analyze;
-use crate::build::{build_deg_window, build_deg_window_in};
+use crate::build::build_deg_in;
 use crate::critical::{critical_path_in, CriticalPath};
 use crate::graph::{Deg, Edge, EdgeKind, Stage};
 use crate::induced::induce;
@@ -148,15 +147,15 @@ pub fn validate_deg(deg: &Deg) -> Result<(), ValidationError> {
 }
 
 /// Validates that the graph's vertex times are exactly the simulator's
-/// event record over the window `[start, start + instr_count)` — with the
-/// DEG's implicit weights this is the Table 2 weight/interval consistency.
+/// event record — with the DEG's implicit weights this is the Table 2
+/// weight/interval consistency.
 ///
 /// # Errors
 ///
 /// Returns a `deg/times` failure naming the first mismatched vertex.
-pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(), ValidationError> {
+pub fn validate_times(deg: &Deg, result: &SimResult) -> Result<(), ValidationError> {
     for j in 0..deg.instr_count() {
-        let ev = &result.trace.events[start + j as usize];
+        let ev = &result.trace.events[j as usize];
         let expect = [
             ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c,
         ];
@@ -165,10 +164,7 @@ pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(),
             if got != t {
                 return Err(fail(
                     "deg/times",
-                    format!(
-                        "instruction {}: vertex {stage} holds {got}, trace says {t}",
-                        start + j as usize
-                    ),
+                    format!("instruction {j}: vertex {stage} holds {got}, trace says {t}"),
                 ));
             }
         }
@@ -176,67 +172,34 @@ pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(),
     Ok(())
 }
 
-/// The end-to-end oracle over a full simulation result: builds the DEG
-/// both ways (allocating and arena-recycled), validates structure and
-/// times before and after inducing, requires `critical_path_in` on the
-/// built DEG, `critical_path_in` on the induced DEG and the plain
-/// reference dynamic program on the induced DEG to agree, and requires
-/// the path length to equal the simulated runtime exactly. Returns the
-/// critical path for reuse.
+/// The end-to-end oracle over a full simulation result: builds the DEG,
+/// validates structure and times before and after inducing, requires
+/// `critical_path_in` on the built DEG, `critical_path_in` on the induced
+/// DEG and the plain reference dynamic program on the induced DEG to
+/// agree, and requires the path length to equal the simulated runtime
+/// exactly. Returns the critical path for reuse.
 ///
 /// # Errors
 ///
 /// Returns the first failing check: any [`validate_deg`] /
-/// [`validate_times`] tag, `deg/builders` (allocating vs arena builder
-/// divergence), `deg/fused_vs_materialised` (a critical path or its
-/// bottleneck report differs between the three computations) or
+/// [`validate_times`] tag, `deg/fused_vs_materialised` (a critical path
+/// or its bottleneck report differs between the three computations) or
 /// `deg/exactness` (path length != runtime).
 ///
 /// # Panics
 ///
 /// Panics on an empty trace (no instructions were simulated).
 pub fn validate_exactness(result: &SimResult) -> Result<CriticalPath, ValidationError> {
-    validate_exactness_window(result, 0, result.trace.events.len())
-}
-
-/// Windowed variant of [`validate_exactness`] over `[start, end)`. The
-/// exactness identity `path.total_delay == result.trace.cycles` only
-/// holds for the full window, so it is asserted exactly there; windowed
-/// paths are instead required not to exceed the runtime.
-///
-/// # Errors
-///
-/// See [`validate_exactness`].
-///
-/// # Panics
-///
-/// Panics when the window is empty or out of range.
-pub fn validate_exactness_window(
-    result: &SimResult,
-    start: usize,
-    end: usize,
-) -> Result<CriticalPath, ValidationError> {
     let mut arena = DegArena::new();
-    let mut built = build_deg_window_in(&mut arena, result, start, end);
-    let naive = build_deg_window(result, start, end);
-    if built != naive {
-        return Err(fail(
-            "deg/builders",
-            format!(
-                "arena builder produced {} edges, allocating builder {}",
-                built.edge_count(),
-                naive.edge_count()
-            ),
-        ));
-    }
+    let mut built = build_deg_in(&mut arena, result);
     validate_deg(&built)?;
-    validate_times(&built, result, start)?;
+    validate_times(&built, result)?;
     let path = critical_path_in(&mut arena, &mut built);
     let report = analyze(&built, &path);
 
     let mut induced = induce(built);
     validate_deg(&induced)?;
-    validate_times(&induced, result, start)?;
+    validate_times(&induced, result)?;
 
     for (name, other) in [
         (
@@ -266,21 +229,11 @@ pub fn validate_exactness_window(
             ));
         }
     }
-    let full = start == 0 && end == result.trace.events.len();
-    if full && path.total_delay != result.trace.cycles {
+    if path.total_delay != result.trace.cycles {
         return Err(fail(
             "deg/exactness",
             format!(
                 "critical path spans {} cycles, simulation ran {}",
-                path.total_delay, result.trace.cycles
-            ),
-        ));
-    }
-    if !full && path.total_delay > result.trace.cycles {
-        return Err(fail(
-            "deg/exactness",
-            format!(
-                "windowed critical path spans {} cycles, exceeding the {}-cycle run",
                 path.total_delay, result.trace.cycles
             ),
         ));
@@ -358,12 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_oracle_holds() {
-        let r = run(2_000, 5);
-        validate_exactness_window(&r, 500, 1_500).expect("windowed oracle holds");
-    }
-
-    #[test]
     fn branchy_and_memory_bound_results_pass() {
         for r in [
             OooCore::new(MicroArch::baseline())
@@ -433,7 +380,7 @@ mod tests {
         let victim = deg.node(100, Stage::I) as usize;
         times[victim] += 1;
         let forged = Deg::new(deg.instr_count(), times);
-        let err = validate_times(&forged, &r, 0).expect_err("forged time must be caught");
+        let err = validate_times(&forged, &r).expect_err("forged time must be caught");
         assert_eq!(err.check, "deg/times");
     }
 

@@ -131,16 +131,11 @@ impl Default for CampaignConfig {
 
 /// Builds the evaluator a campaign run uses for this configuration.
 /// Callers attach a journal / warm-start it before calling
-/// [`run_method_on`]. Traces resolve through the process-global
-/// [`TraceStore`], so every evaluator a campaign builds for the same
-/// `(workload, trace seed, window)` shares one synthesised trace.
-pub fn build_evaluator(suite: &[Workload], cfg: &CampaignConfig) -> Evaluator {
-    build_evaluator_in(suite, cfg, TraceStore::global())
-}
-
-/// Like [`build_evaluator`], resolving traces through a caller-supplied
-/// [`TraceStore`] — useful to isolate a campaign's hit/miss accounting or
-/// to bound the store's lifetime to the campaign.
+/// [`run_method_on`]. Traces resolve through `store`: pass
+/// [`TraceStore::global()`] so every evaluator built for the same
+/// `(workload, trace seed, window)` shares one synthesised trace, or a
+/// private store to isolate a campaign's hit/miss accounting or bound the
+/// store's lifetime to the campaign.
 pub fn build_evaluator_in(
     suite: &[Workload],
     cfg: &CampaignConfig,

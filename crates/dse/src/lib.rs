@@ -31,11 +31,11 @@
 //!
 //! ```no_run
 //! use archx_dse::prelude::*;
-//! use archx_workloads::spec06_suite;
+//! use archx_workloads::{spec06_suite, TraceStore};
 //!
 //! let space = DesignSpace::table4();
 //! let cfg = CampaignConfig { sim_budget: 120, ..Default::default() };
-//! let evaluator = build_evaluator(&spec06_suite(), &cfg);
+//! let evaluator = build_evaluator_in(&spec06_suite(), &cfg, TraceStore::global());
 //! let log = run_method_on(Method::ArchExplorer, &space, &evaluator, cfg.sim_budget, cfg.seed);
 //! println!("explored {} designs", log.records.len());
 //! ```
@@ -64,9 +64,8 @@ pub fn default_threads() -> usize {
 pub mod prelude {
     pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
     pub use crate::campaign::{
-        aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method_on,
-        Campaign, CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec,
-        SweepCurve,
+        aggregate_curves, build_evaluator_in, run_journal_path, run_method_on, Campaign,
+        CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec, SweepCurve,
     };
     pub use crate::default_threads;
     pub use crate::eval::{
@@ -82,9 +81,8 @@ pub mod prelude {
 
 pub use archexplorer::{run_archexplorer, ArchExplorerOptions};
 pub use campaign::{
-    aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method_on,
-    Campaign, CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec,
-    SweepCurve,
+    aggregate_curves, build_evaluator_in, run_journal_path, run_method_on, Campaign,
+    CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec, SweepCurve,
 };
 pub use eval::{
     Analysis, DesignEval, EvalError, EvalFailure, Evaluator, EvaluatorBuilder, QuarantineEntry,

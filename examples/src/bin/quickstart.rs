@@ -35,7 +35,7 @@ fn main() {
 
     // 3. Let ArchExplorer reassign hardware for 120 simulations.
     let log = session
-        .explore(Method::ArchExplorer, 120)
+        .explore(Method::ArchExplorer, 120, None)
         .expect("exploration");
     let best = log.best_tradeoff().expect("explored at least one design");
     println!(

@@ -1,8 +1,9 @@
 //! End-to-end DSE behaviour: budget accounting, determinism, and
 //! ArchExplorer's edge over unguided search at equal budgets.
 
-use archexplorer::dse::campaign::{build_evaluator, run_method_on, CampaignConfig};
+use archexplorer::dse::campaign::{build_evaluator_in, run_method_on, CampaignConfig};
 use archexplorer::prelude::*;
+use archexplorer::workloads::TraceStore;
 
 fn cfg(budget: u64) -> CampaignConfig {
     CampaignConfig {
@@ -26,7 +27,7 @@ fn suite() -> Vec<Workload> {
 /// One search on a fresh evaluator over the shared suite.
 fn run(method: Method, budget: u64) -> RunLog {
     let cfg = cfg(budget);
-    let evaluator = build_evaluator(&suite(), &cfg);
+    let evaluator = build_evaluator_in(&suite(), &cfg, TraceStore::global());
     run_method_on(method, &DesignSpace::table4(), &evaluator, budget, cfg.seed)
 }
 

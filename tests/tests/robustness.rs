@@ -4,9 +4,10 @@
 //! journaled campaign must resume to the same frontier without
 //! re-simulating journaled designs.
 
-use archexplorer::dse::campaign::{build_evaluator, run_method_on, CampaignConfig};
+use archexplorer::dse::campaign::{build_evaluator_in, run_method_on, CampaignConfig};
 use archexplorer::dse::journal::{Journal, JournalError};
 use archexplorer::prelude::*;
+use archexplorer::workloads::TraceStore;
 use std::path::PathBuf;
 
 fn suite() -> Vec<Workload> {
@@ -73,7 +74,7 @@ fn mixed_campaign_quarantines_failures_and_keeps_searching() {
     // count from its per-workload IPC, and pick the midpoint.
     let space = DesignSpace::table4();
     let instrs = 2_000u64;
-    let probe = build_evaluator(&suite(), &cfg(16));
+    let probe = build_evaluator_in(&suite(), &cfg(16), TraceStore::global());
     let log = run_method_on(Method::Random, &space, &probe, 16, 9);
     let cycles_of = |arch: &MicroArch| -> u64 {
         let e = probe.evaluate(arch).expect("unlimited run succeeds");
@@ -94,13 +95,14 @@ fn mixed_campaign_quarantines_failures_and_keeps_searching() {
     // Re-run the same seeded search under the splitting budget with
     // retries off: slow designs are quarantined, fast ones keep the
     // search fed, and the budget still completes.
-    let limited = build_evaluator(
+    let limited = build_evaluator_in(
         &suite(),
         &CampaignConfig {
             cycle_budget: Some(split),
             max_retries: 0,
             ..cfg(16)
         },
+        TraceStore::global(),
     );
     let log = run_method_on(Method::Random, &space, &limited, 16, 9);
     assert!(limited.sim_count() >= 16, "budget must complete");
@@ -119,7 +121,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
     let budget = 24;
 
     // Reference campaign, journaled to completion.
-    let ev_full = build_evaluator(&suite(), &cfg(budget));
+    let ev_full = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
     let fp = ev_full.fingerprint(vec![("method".into(), "Random".into())]);
     ev_full.set_journal(Journal::create(&full_path, &fp).expect("create journal"));
     let log_full = run_method_on(Method::Random, &DesignSpace::table4(), &ev_full, budget, 9);
@@ -144,7 +146,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
     // Resume: journaled designs replay from the journal (no simulation),
     // the budget picks up where the kill left off, and the deterministic
     // search reaches the same frontier.
-    let ev_res = build_evaluator(&suite(), &cfg(budget));
+    let ev_res = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
     let (journal, records) = Journal::resume(
         &killed_path,
         &ev_res.fingerprint(vec![("method".into(), "Random".into())]),
@@ -168,7 +170,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
 
     // The resumed journal now covers the whole campaign: resuming it
     // again replays everything and simulates nothing.
-    let ev_done = build_evaluator(&suite(), &cfg(budget));
+    let ev_done = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
     let (_, records) = Journal::resume(
         &killed_path,
         &ev_done.fingerprint(vec![("method".into(), "Random".into())]),
@@ -183,7 +185,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
 fn resume_rejects_a_mismatched_campaign() {
     let dir = temp_dir("mismatch");
     let path = dir.join("j.jsonl");
-    let ev = build_evaluator(&suite(), &cfg(8));
+    let ev = build_evaluator_in(&suite(), &cfg(8), TraceStore::global());
     let fp = ev.fingerprint(vec![]);
     drop(Journal::create(&path, &fp).expect("create"));
 
@@ -209,7 +211,7 @@ fn torn_tail_is_reevaluated_but_interior_corruption_is_fatal() {
     let dir = temp_dir("torn");
     let path = dir.join("full.jsonl");
     let budget = 12;
-    let ev = build_evaluator(&suite(), &cfg(budget));
+    let ev = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
     let fp = ev.fingerprint(vec![("method".into(), "Random".into())]);
     ev.set_journal(Journal::create(&path, &fp).expect("create journal"));
     run_method_on(Method::Random, &DesignSpace::table4(), &ev, budget, 9);
@@ -230,7 +232,7 @@ fn torn_tail_is_reevaluated_but_interior_corruption_is_fatal() {
     let torn_path = dir.join("torn.jsonl");
     std::fs::write(&torn_path, &text[..cut]).expect("write torn journal");
 
-    let ev_torn = build_evaluator(&suite(), &cfg(budget));
+    let ev_torn = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
     let (_, records) = Journal::resume(
         &torn_path,
         &ev_torn.fingerprint(vec![("method".into(), "Random".into())]),
@@ -251,7 +253,7 @@ fn torn_tail_is_reevaluated_but_interior_corruption_is_fatal() {
     let corrupt_path = dir.join("corrupt.jsonl");
     std::fs::write(&corrupt_path, lines.join("\n") + "\n").expect("write corrupt journal");
 
-    let ev_corrupt = build_evaluator(&suite(), &cfg(budget));
+    let ev_corrupt = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
     let err = Journal::resume(
         &corrupt_path,
         &ev_corrupt.fingerprint(vec![("method".into(), "Random".into())]),

@@ -83,22 +83,6 @@ proptest! {
         prop_assert_eq!(path.total_delay, checked.trace.cycles);
     }
 
-    // The windowed oracle holds on arbitrary interior windows: builders
-    // agree, validation passes, and the windowed path cannot exceed the
-    // full runtime.
-    #[test]
-    fn windowed_oracle_holds_on_arbitrary_windows(
-        design in arb_design(),
-        start in 0usize..600,
-        len in 100usize..600,
-    ) {
-        let trace = trace_gen::mixed_workload(1_500, 21);
-        let r = OooCore::new(design).run(&trace).expect("simulates");
-        let end = (start + len).min(r.trace.events.len());
-        let path = validate_exactness_window(&r, start, end).expect("windowed oracles hold");
-        prop_assert!(path.total_delay <= r.trace.cycles);
-    }
-
     // Metamorphic: on a compute-bound independent-ALU stream, enlarging
     // the ROB never increases cycles. (On memory-bound streams cache-LRU
     // reordering breaks strict monotonicity, which is why the harness
