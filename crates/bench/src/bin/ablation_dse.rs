@@ -24,10 +24,7 @@ fn main() {
     let suite = truncate_suite(spec06_suite(), limit.max(1));
     let space = DesignSpace::table4();
 
-    let base = ArchExplorerOptions {
-        seed,
-        ..Default::default()
-    };
+    let base = ArchExplorerOptions::default();
     let variants: Vec<(&str, ArchExplorerOptions)> = vec![
         ("full", base.clone()),
         ("single-rung moves", {
@@ -59,7 +56,7 @@ fn main() {
             .window(instrs)
             .seed(seed)
             .build();
-        let log = run_archexplorer(&space, &ev, budget, &opts);
+        let log = run_archexplorer(&space, &ev, budget, seed, &opts);
         let pts: Vec<_> = log.records.iter().map(|rec| rec.ppa).collect();
         let hv = hypervolume(&pts, &r);
         let best = log.best_tradeoff().map_or(0.0, |b| b.ppa.tradeoff());

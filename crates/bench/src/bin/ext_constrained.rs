@@ -45,11 +45,10 @@ fn main() {
             .build();
         let log = if constrained {
             let opts = ArchExplorerOptions {
-                seed: 1,
                 objective,
                 ..Default::default()
             };
-            run_archexplorer(&space, &ev, budget, &opts)
+            run_archexplorer(&space, &ev, budget, 1, &opts)
         } else {
             run_random_search(&space, &ev, budget, 1)
         };

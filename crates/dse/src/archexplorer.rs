@@ -63,23 +63,23 @@ impl Objective {
     }
 }
 
-/// Tuning knobs of the ArchExplorer loop.
+/// Steps without PPA-trade-off improvement before a restart.
+const PLATEAU_PATIENCE: usize = 5;
+/// Per-parameter mutation probability when perturbing the incumbent.
+const MUTATE_PROB: f64 = 0.3;
+
+/// The settings of the ArchExplorer loop: the objective plus the four
+/// design choices the ablation study (`ablation_dse`) switches off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchExplorerOptions {
     /// Reassignment policy.
     pub reassign: ReassignOptions,
-    /// Steps without PPA-trade-off improvement before a restart.
-    pub plateau_patience: usize,
     /// Minimum relative trade-off improvement for a freezable parameter's
     /// growth to count as useful (the cache/BP freeze rule).
     pub freeze_threshold: f64,
     /// Probability that a restart perturbs the best design found so far
     /// instead of sampling uniformly (intensification vs exploration).
     pub intensify_prob: f64,
-    /// Per-parameter mutation probability when perturbing the incumbent.
-    pub mutate_prob: f64,
-    /// RNG seed for initial designs.
-    pub seed: u64,
     /// What each trajectory climbs.
     pub objective: Objective,
 }
@@ -88,22 +88,19 @@ impl Default for ArchExplorerOptions {
     fn default() -> Self {
         ArchExplorerOptions {
             reassign: ReassignOptions::default(),
-            plateau_patience: 5,
             freeze_threshold: 0.01,
             intensify_prob: 0.5,
-            mutate_prob: 0.3,
-            seed: 0xA5C3,
             objective: Objective::Tradeoff,
         }
     }
 }
 
 /// Perturbs `best` by moving each parameter one candidate step up or down
-/// with probability `mutate_prob`.
-fn perturb(space: &DesignSpace, best: &MicroArch, mutate_prob: f64, rng: &mut StdRng) -> MicroArch {
+/// with probability [`MUTATE_PROB`].
+fn perturb(space: &DesignSpace, best: &MicroArch, rng: &mut StdRng) -> MicroArch {
     let mut arch = *best;
     for &p in &ParamId::ALL {
-        if rng.gen_bool(mutate_prob) {
+        if rng.gen_bool(MUTATE_PROB) {
             let v = p.get(&arch);
             let next = if rng.gen_bool(0.5) {
                 space.next_larger(p, v)
@@ -118,19 +115,22 @@ fn perturb(space: &DesignSpace, best: &MicroArch, mutate_prob: f64, rng: &mut St
     arch
 }
 
-/// Runs ArchExplorer until `sim_budget` simulations have been spent.
+/// Runs ArchExplorer until `sim_budget` simulations have been spent;
+/// `seed` drives the start designs and restarts.
 ///
 /// Returns the log of every evaluated design in order.
 pub fn run_archexplorer(
     space: &DesignSpace,
     evaluator: &Evaluator,
     sim_budget: u64,
+    seed: u64,
     opts: &ArchExplorerOptions,
 ) -> RunLog {
     run_bottleneck_driven(
         space,
         evaluator,
         sim_budget,
+        seed,
         opts,
         "ArchExplorer",
         |ev, arch| {
@@ -147,6 +147,7 @@ pub fn run_bottleneck_driven<F>(
     space: &DesignSpace,
     evaluator: &Evaluator,
     sim_budget: u64,
+    seed: u64,
     opts: &ArchExplorerOptions,
     method: &str,
     mut analyze: F,
@@ -160,7 +161,7 @@ where
         crate::eval::EvalFailure,
     >,
 {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut log = RunLog::new(method);
     let mut frozen: HashSet<ParamId> = HashSet::new();
     let mut global_best: Option<(f64, MicroArch)> = None;
@@ -171,9 +172,7 @@ where
         // Freezes persist across rounds — they encode workload properties,
         // not start-point properties.
         let mut current = match &global_best {
-            Some((_, best)) if rng.gen_bool(opts.intensify_prob) => {
-                perturb(space, best, opts.mutate_prob, &mut rng)
-            }
+            Some((_, best)) if rng.gen_bool(opts.intensify_prob) => perturb(space, best, &mut rng),
             _ => space.random(&mut rng),
         };
         // A quarantined start design scores as non-Pareto (it never
@@ -236,7 +235,7 @@ where
                 stale = 0;
             } else {
                 stale += 1;
-                if stale >= opts.plateau_patience {
+                if stale >= PLATEAU_PATIENCE {
                     continue 'outer; // plateau: restart
                 }
             }
@@ -263,7 +262,7 @@ mod tests {
     fn respects_budget_and_logs_everything() {
         let space = DesignSpace::table4();
         let ev = tiny_evaluator();
-        let log = run_archexplorer(&space, &ev, 20, &ArchExplorerOptions::default());
+        let log = run_archexplorer(&space, &ev, 20, 1, &ArchExplorerOptions::default());
         assert!(!log.records.is_empty());
         // Budget check: stops within one design evaluation of the budget.
         assert!(ev.sim_count() >= 20);
@@ -281,12 +280,14 @@ mod tests {
             &space,
             &tiny_evaluator(),
             12,
+            1,
             &ArchExplorerOptions::default(),
         );
         let b = run_archexplorer(
             &space,
             &tiny_evaluator(),
             12,
+            1,
             &ArchExplorerOptions::default(),
         );
         assert_eq!(a, b);
@@ -296,7 +297,7 @@ mod tests {
     fn improves_tradeoff_within_a_round() {
         let space = DesignSpace::table4();
         let ev = tiny_evaluator();
-        let log = run_archexplorer(&space, &ev, 40, &ArchExplorerOptions::default());
+        let log = run_archexplorer(&space, &ev, 40, 1, &ArchExplorerOptions::default());
         let first = log.records.first().unwrap().ppa.tradeoff();
         let best = log.best_tradeoff().unwrap().ppa.tradeoff();
         assert!(

@@ -7,18 +7,20 @@ use crate::archexplorer::{run_bottleneck_driven, ArchExplorerOptions};
 use crate::eval::{Analysis, Evaluator, RunLog};
 use crate::space::DesignSpace;
 
-/// Runs the Calipers-guided bottleneck-removal DSE.
+/// Runs the Calipers-guided bottleneck-removal DSE with ArchExplorer's
+/// default settings.
 pub fn run_calipers_dse(
     space: &DesignSpace,
     evaluator: &Evaluator,
     sim_budget: u64,
-    opts: &ArchExplorerOptions,
+    seed: u64,
 ) -> RunLog {
     run_bottleneck_driven(
         space,
         evaluator,
         sim_budget,
-        opts,
+        seed,
+        &ArchExplorerOptions::default(),
         "Calipers",
         |ev, arch| {
             ev.evaluate_with(arch, Analysis::Calipers)
@@ -40,12 +42,7 @@ mod tests {
             .seed(1)
             .threads(1)
             .build();
-        let log = run_calipers_dse(
-            &DesignSpace::table4(),
-            &ev,
-            16,
-            &ArchExplorerOptions::default(),
-        );
+        let log = run_calipers_dse(&DesignSpace::table4(), &ev, 16, 1);
         assert!(ev.sim_count() >= 16);
         assert_eq!(log.method, "Calipers");
         assert!(!log.records.is_empty());

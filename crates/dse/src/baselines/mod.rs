@@ -3,6 +3,16 @@
 //! BOOM-Explorer-style Gaussian-process Bayesian optimiser, and the
 //! Calipers-guided variant of bottleneck-driven search.
 //!
+//! Six methods run on two loops. Calipers shares ArchExplorer's
+//! bottleneck-removal loop ([`crate::archexplorer::run_bottleneck_driven`])
+//! with the static-weight analysis swapped in. Random, AdaBoost, ArchRanker
+//! and BOOM-Explorer share one acquisition loop (the private `surrogate`
+//! module): simulate an initial sample, then each round fit a model to
+//! every simulated design, screen a random candidate pool, and simulate
+//! the best-scored unseen designs. Each method supplies only its initial
+//! sample, pool and batch sizes, and scoring model; random search is the
+//! loop with no model.
+//!
 //! Fidelity notes (also in DESIGN.md): the published baselines target
 //! multi-objective spaces with method-specific machinery (ArchRanker's
 //! constrained binary search, BOOM-Explorer's DKL-GP with EIPV). Here each
@@ -17,6 +27,7 @@ pub mod boom;
 pub mod calipers_dse;
 pub mod random;
 pub mod ranker;
+mod surrogate;
 
 pub use adaboost::run_adaboost;
 pub use boom::run_boom_explorer;

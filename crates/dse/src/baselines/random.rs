@@ -1,9 +1,9 @@
-//! Uniform random search over the design space.
+//! Uniform random search over the design space: the acquisition loop with
+//! no model, so every round simulates one random design.
 
+use super::surrogate::{run_surrogate, Acquisition};
 use crate::eval::{Evaluator, RunLog};
 use crate::space::DesignSpace;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Evaluates uniformly random designs until the budget is exhausted.
 pub fn run_random_search(
@@ -12,18 +12,19 @@ pub fn run_random_search(
     sim_budget: u64,
     seed: u64,
 ) -> RunLog {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut log = RunLog::new("Random");
-    while evaluator.sim_count() < sim_budget {
-        let arch = space.random(&mut rng);
-        // Quarantined designs consumed budget but produce no record;
-        // the search just keeps sampling.
-        let Ok(e) = evaluator.evaluate(&arch) else {
-            continue;
-        };
-        log.push(arch, e.ppa, evaluator.sim_count());
-    }
-    log
+    run_surrogate(
+        space,
+        evaluator,
+        sim_budget,
+        seed,
+        Acquisition {
+            method: "Random",
+            pool: 0,
+            batch: 0,
+        },
+        |_| Vec::new(),
+        |_, _| None::<fn(&[f64]) -> f64>,
+    )
 }
 
 #[cfg(test)]

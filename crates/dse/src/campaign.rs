@@ -22,9 +22,6 @@
 //!   keep working when runs execute concurrently.
 
 use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
-use crate::baselines::adaboost::AdaBoostOptions;
-use crate::baselines::boom::BoomOptions;
-use crate::baselines::ranker::RankerOptions;
 use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
@@ -176,31 +173,19 @@ pub fn run_method_on(
 ) -> RunLog {
     let _timed = archx_telemetry::span("dse/run_method");
     evaluator.set_progress_target(method.to_string(), sim_budget);
-    let ax_opts = ArchExplorerOptions {
-        seed,
-        ..ArchExplorerOptions::default()
-    };
     match method {
-        Method::ArchExplorer => run_archexplorer(space, evaluator, sim_budget, &ax_opts),
+        Method::ArchExplorer => run_archexplorer(
+            space,
+            evaluator,
+            sim_budget,
+            seed,
+            &ArchExplorerOptions::default(),
+        ),
         Method::Random => run_random_search(space, evaluator, sim_budget, seed),
-        Method::AdaBoost => run_adaboost(
-            space,
-            evaluator,
-            sim_budget,
-            seed,
-            &AdaBoostOptions::default(),
-        ),
-        Method::ArchRanker => run_archranker(
-            space,
-            evaluator,
-            sim_budget,
-            seed,
-            &RankerOptions::default(),
-        ),
-        Method::BoomExplorer => {
-            run_boom_explorer(space, evaluator, sim_budget, seed, &BoomOptions::default())
-        }
-        Method::Calipers => run_calipers_dse(space, evaluator, sim_budget, &ax_opts),
+        Method::AdaBoost => run_adaboost(space, evaluator, sim_budget, seed),
+        Method::ArchRanker => run_archranker(space, evaluator, sim_budget, seed),
+        Method::BoomExplorer => run_boom_explorer(space, evaluator, sim_budget, seed),
+        Method::Calipers => run_calipers_dse(space, evaluator, sim_budget, seed),
     }
 }
 

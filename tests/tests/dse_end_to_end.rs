@@ -88,11 +88,10 @@ fn constrained_objective_finds_feasible_designs() {
         .threads(2)
         .build();
     let opts = ArchExplorerOptions {
-        seed: 5,
         objective,
         ..Default::default()
     };
-    let log = run_archexplorer(&space, &ev, 60, &opts);
+    let log = run_archexplorer(&space, &ev, 60, 5, &opts);
     let feasible = log
         .records
         .iter()
