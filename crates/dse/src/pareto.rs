@@ -127,11 +127,12 @@ fn area2d(points: &[[f64; 2]]) -> f64 {
     area
 }
 
-/// Maintains the frontier of all explored designs and exposes the
-/// hypervolume-versus-simulations curve.
+/// The Pareto frontier of all explored designs, maintained incrementally:
+/// only mutually non-dominated points are stored, so pushes cost
+/// O(|front|) and the hypervolume is computed over the front alone.
 #[derive(Debug, Clone, Default)]
 pub struct ExplorationSet {
-    points: Vec<PpaResult>,
+    front: Vec<PpaResult>,
 }
 
 impl ExplorationSet {
@@ -140,27 +141,25 @@ impl ExplorationSet {
         Self::default()
     }
 
-    /// Adds an evaluated design.
+    /// Adds an evaluated design. A non-finite, dominated or duplicate
+    /// point is dropped; otherwise the points it dominates are evicted.
     pub fn push(&mut self, ppa: PpaResult) {
-        self.points.push(ppa);
+        if !finite(&ppa) || self.front.iter().any(|q| *q == ppa || dominates(q, &ppa)) {
+            return;
+        }
+        self.front.retain(|q| !dominates(&ppa, q));
+        self.front.push(ppa);
     }
 
-    /// All points in insertion order.
-    pub fn points(&self) -> &[PpaResult] {
-        &self.points
-    }
-
-    /// Current Pareto-frontier points.
+    /// Current Pareto-frontier points, in the order they were first
+    /// pushed (the order [`pareto_front`] gives over every point).
     pub fn frontier(&self) -> Vec<PpaResult> {
-        pareto_front(&self.points)
-            .into_iter()
-            .map(|i| self.points[i])
-            .collect()
+        self.front.clone()
     }
 
     /// Hypervolume of the set explored so far.
     pub fn hypervolume(&self, r: &RefPoint) -> f64 {
-        hypervolume(&self.points, r)
+        hypervolume(&self.front, r)
     }
 }
 

@@ -98,6 +98,28 @@ fn arb_design() -> impl Strategy<Value = MicroArch> {
     })
 }
 
+/// PPA points mixing the cases the incremental frontier must handle:
+/// continuous values, ties on a coarse grid (duplicates and equal
+/// coordinates), a NaN coordinate, and points outside the default
+/// reference box.
+fn arb_ppa() -> impl Strategy<Value = PpaResult> {
+    (0u32..11, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(kind, a, b, c)| {
+        let grid = |v: f64| (v * 3.0).floor() / 3.0;
+        let (a, b, c) = match kind {
+            0..=3 => (a, b, c),
+            4..=7 => (grid(a), grid(b), grid(c)),
+            8 => (f64::NAN, b, c),
+            9 => (a, b + 2.0, c),
+            _ => (a, b, c + 2.0),
+        };
+        PpaResult {
+            ipc: 0.1 + 2.0 * a,
+            power_w: 0.05 + 2.0 * b,
+            area_mm2: 2.0 + 25.0 * c,
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -175,6 +197,30 @@ proptest! {
         }
         // And never exceeds the reference box.
         prop_assert!(prev <= 2.0 * r.power_w * r.area_mm2);
+    }
+
+    #[test]
+    fn exploration_set_matches_brute_force_frontier_and_hypervolume(
+        xs in proptest::collection::vec(arb_ppa(), 0..40)
+    ) {
+        let r = RefPoint::default();
+        let mut set = ExplorationSet::new();
+        for k in 1..=xs.len() {
+            set.push(xs[k - 1]);
+            let all = &xs[..k];
+            let want = hypervolume(all, &r);
+            let got = set.hypervolume(&r);
+            prop_assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "front-only hypervolume {got} vs all-points {want}"
+            );
+            let front = set.frontier();
+            let brute: Vec<PpaResult> = pareto_front(all).into_iter().map(|i| all[i]).collect();
+            prop_assert_eq!(front.len(), brute.len());
+            for p in &front {
+                prop_assert!(brute.contains(p), "{p:?} is not on the brute-force front");
+            }
+        }
     }
 
     #[test]
