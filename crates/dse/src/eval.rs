@@ -490,9 +490,8 @@ impl Evaluator {
         meta.sim_budget = sim_budget;
     }
 
-    /// Attaches a per-evaluator progress sink (in addition to any sinks on
-    /// the global telemetry registry). One sink per evaluator; a second
-    /// call replaces the first.
+    /// Attaches the sink that receives this evaluator's progress events.
+    /// One sink per evaluator; a second call replaces the first.
     pub fn set_progress_sink(&self, sink: Arc<dyn ProgressSink>) {
         lock(&self.progress).sink = Some(sink);
     }
@@ -761,8 +760,7 @@ impl Evaluator {
     }
 
     /// Publishes one progress event (after each successful uncached
-    /// evaluation) to the per-evaluator sink and the global telemetry
-    /// sinks.
+    /// evaluation) to the evaluator's sink, if one is attached.
     fn emit_progress(&self, ppa: PpaResult) {
         let (event, sink) = {
             let mut meta = lock(&self.progress);
@@ -780,7 +778,6 @@ impl Evaluator {
         if let Some(sink) = sink {
             sink.on_progress(&event);
         }
-        telemetry::progress(&event);
     }
 }
 
