@@ -20,7 +20,7 @@
 //! ends with no onward connection link to the last instruction's commit.
 //!
 //! The rules depend only on the skewed-edge endpoints, so one generator,
-//! [`VirtualEdges`], yields each vertex's virtual successors as a sweep in
+//! `VirtualEdges`, yields each vertex's virtual successors as a sweep in
 //! topological order reaches it. The critical-path sweep runs it directly
 //! and never stores the edges; [`induce`] runs the same sweep once and
 //! materialises them into the graph, for export, figures, statistics and
@@ -31,7 +31,7 @@ use crate::graph::{Deg, EdgeKind, NodeId, Stage};
 /// Adds virtual edges to `deg`, producing the induced DEG.
 ///
 /// Each vertex, in topological order, gains a `Virtual` edge to every
-/// target [`VirtualEdges`] generates for it, except a target it already
+/// target `VirtualEdges` generates for it, except a target it already
 /// has an edge to. Statistics of the transformation are available by
 /// comparing [`Deg::edge_count`] before and after.
 pub fn induce(mut deg: Deg) -> Deg {
