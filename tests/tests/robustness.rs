@@ -37,33 +37,41 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn all_failing_campaign_still_finishes_its_budget() {
-    // A 3-cycle budget makes every simulation fail: the campaign must
+    // A 3-cycle budget makes every simulation fail: every method must
     // quarantine everything, charge every attempt against the budget, and
-    // terminate instead of spinning or aborting.
-    let ev = Evaluator::builder(suite())
-        .window(2_000)
-        .seed(9)
-        .threads(2)
-        .limits(SimLimits {
-            cycle_budget: Some(3),
-            ..SimLimits::default()
-        })
-        .max_retries(1)
-        .build();
-    let log = run_method_on(Method::Random, &DesignSpace::table4(), &ev, 12, 9);
-    assert!(
-        ev.sim_count() >= 12,
-        "failed attempts must consume budget, got {}",
-        ev.sim_count()
-    );
-    assert!(ev.quarantine_len() > 0, "failures must be quarantined");
-    assert!(
-        log.records.is_empty(),
-        "no design can commit 2000 instructions in 3 cycles"
-    );
-    for q in ev.quarantine() {
-        assert_eq!(q.error.tag(), "cycle_budget");
-        assert_eq!(q.attempts, 2, "one retry on a halved window was allowed");
+    // terminate instead of spinning or aborting. The budget outlasts the
+    // model-guided methods' initial samples, so they reach a round with
+    // nothing to fit their model to.
+    let budget = 48;
+    for m in Method::ALL {
+        let ev = Evaluator::builder(suite())
+            .window(2_000)
+            .seed(9)
+            .threads(2)
+            .limits(SimLimits {
+                cycle_budget: Some(3),
+                ..SimLimits::default()
+            })
+            .max_retries(1)
+            .build();
+        let log = run_method_on(m, &DesignSpace::table4(), &ev, budget, 9);
+        assert!(
+            ev.sim_count() >= budget,
+            "{m:?}: failed attempts must consume budget, got {}",
+            ev.sim_count()
+        );
+        assert!(
+            ev.quarantine_len() > 0,
+            "{m:?}: failures must be quarantined"
+        );
+        assert!(
+            log.records.is_empty(),
+            "{m:?}: no design can commit 2000 instructions in 3 cycles"
+        );
+        for q in ev.quarantine() {
+            assert_eq!(q.error.tag(), "cycle_budget");
+            assert_eq!(q.attempts, 2, "one retry on a halved window was allowed");
+        }
     }
 }
 
