@@ -12,8 +12,8 @@
 //!   layer (typed errors, bounded retry, quarantine);
 //! * [`journal`] — the write-ahead evaluation journal (JSONL) that makes
 //!   campaigns crash-safe and resumable;
-//! * [`pareto`] — dominance, frontier maintenance, and exact 3-D Pareto
-//!   hypervolume (Eq. 3);
+//! * [`pareto`] — dominance, the incrementally maintained frontier, and
+//!   exact 3-D Pareto hypervolume (Eq. 3);
 //! * [`reassign`] + [`archexplorer`] — the bottleneck-removal-driven
 //!   search of Section 4.3, with the cache/branch-predictor freeze rule,
 //!   plateau early-stopping and restarts;
@@ -28,6 +28,12 @@
 //!   seeded design × workload × window sweeps under `CheckedCore`
 //!   invariants and the DEG validation oracles, with metamorphic checks
 //!   and shrinking reproducers.
+//!
+//! The six methods run on two loops: ArchExplorer and Calipers share the
+//! bottleneck-removal loop, and random search, AdaBoost, ArchRanker and
+//! BOOM-Explorer share one model-guided acquisition loop. Every search
+//! takes `(space, evaluator, sim_budget, seed)`; ArchExplorer alone also
+//! takes [`ArchExplorerOptions`].
 //!
 //! ```no_run
 //! use archx_dse::prelude::*;
