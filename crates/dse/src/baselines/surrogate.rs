@@ -1,15 +1,5 @@
 //! The acquisition loop shared by the model-guided baselines (and, with
 //! no model, by random search).
-//!
-//! 1. Simulate an initial sample.
-//! 2. Each round, fit a model to the features and PPA trade-off of every
-//!    simulated design.
-//! 3. Score a pool of random candidates and drop the ones already seen.
-//! 4. Simulate the best-scored `batch` (stable sort, highest first) while
-//!    budget remains.
-//! 5. When the model declines to score (or there is nothing to fit yet),
-//!    or nothing was simulated that round, simulate one random design
-//!    instead.
 
 use crate::eval::{Evaluator, RunLog};
 use crate::space::DesignSpace;
@@ -28,12 +18,17 @@ pub(super) struct Acquisition {
     pub batch: usize,
 }
 
-/// Runs the acquisition loop until `sim_budget` simulations are spent.
+/// Runs the acquisition loop until `sim_budget` simulations are spent:
 ///
-/// `init` draws the initial sample from the search RNG. `fit` sees the
-/// features and trade-offs of every design simulated so far (at least
-/// one) and returns the round's scorer (higher is better), or `None` to
-/// decline.
+/// 1. Simulate the initial sample `init` draws from the search RNG.
+/// 2. Each round, `fit` sees the features and PPA trade-offs of every
+///    design simulated so far (at least one) and returns the round's
+///    scorer (higher is better), or `None` to decline.
+/// 3. Score a pool of random candidates and drop the ones already seen.
+/// 4. Simulate the best-scored `batch` (stable sort, highest first) while
+///    budget remains.
+/// 5. When there is nothing to fit yet, the model declines, or nothing
+///    was simulated that round, simulate one random design instead.
 pub(super) fn run_surrogate<M>(
     space: &DesignSpace,
     evaluator: &Evaluator,
