@@ -10,7 +10,6 @@
 //! ```
 
 use archexplorer::dse::archexplorer::{run_archexplorer, ArchExplorerOptions};
-use archexplorer::dse::eval::Evaluator;
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
@@ -22,6 +21,11 @@ fn main() {
     let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", 6);
     let suite = truncate_suite(spec06_suite(), limit.max(1));
+    let cfg = CampaignConfig {
+        instrs_per_workload: instrs,
+        seed,
+        ..CampaignConfig::default()
+    };
     let space = DesignSpace::table4();
 
     let base = ArchExplorerOptions::default();
@@ -52,10 +56,7 @@ fn main() {
     let r = RefPoint::default();
     let mut t = Table::new(["variant", "final_hv", "best_tradeoff", "designs"]);
     for (name, opts) in variants {
-        let ev = Evaluator::builder(suite.clone())
-            .window(instrs)
-            .seed(seed)
-            .build();
+        let ev = build_evaluator_in(&suite, &cfg, TraceStore::global());
         let log = run_archexplorer(&space, &ev, budget, seed, &opts);
         let pts: Vec<_> = log.records.iter().map(|rec| rec.ppa).collect();
         let hv = hypervolume(&pts, &r);

@@ -10,7 +10,6 @@
 
 use archexplorer::dse::archexplorer::{run_archexplorer, ArchExplorerOptions, Objective};
 use archexplorer::dse::baselines::run_random_search;
-use archexplorer::dse::eval::Evaluator;
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
@@ -24,6 +23,10 @@ fn main() {
     let limit = args.get_usize("workloads", 6);
 
     let suite = truncate_suite(spec06_suite(), limit.max(1));
+    let cfg = CampaignConfig {
+        instrs_per_workload: instrs,
+        ..CampaignConfig::default()
+    };
     let space = DesignSpace::table4();
     let objective = Objective::ConstrainedPerf {
         power_cap,
@@ -39,10 +42,7 @@ fn main() {
         "feasible_designs",
     ]);
     for (name, constrained) in [("ArchExplorer(constrained)", true), ("Random", false)] {
-        let ev = Evaluator::builder(suite.clone())
-            .window(instrs)
-            .seed(1)
-            .build();
+        let ev = build_evaluator_in(&suite, &cfg, TraceStore::global());
         let log = if constrained {
             let opts = ArchExplorerOptions {
                 objective,

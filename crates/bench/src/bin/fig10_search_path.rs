@@ -8,7 +8,6 @@
 //! cargo run -p archx-bench --release --bin fig10_search_path [instrs=N] [steps=N]
 //! ```
 
-use archexplorer::dse::eval::{Analysis, Evaluator};
 use archexplorer::dse::reassign::{reassign, ReassignOptions};
 use archexplorer::dse::space::ParamId;
 use archexplorer::prelude::*;
@@ -26,7 +25,11 @@ fn main() {
         .into_iter()
         .filter(|w| w.id.0.contains("lbm") || w.id.0.contains("cactu") || w.id.0.contains("x264"))
         .collect();
-    let evaluator = Evaluator::builder(suite).window(instrs).seed(1).build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: instrs,
+        ..CampaignConfig::default()
+    };
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
     let space = DesignSpace::table4();
 
     // Start: a mid-size design with the smallest possible store queue.

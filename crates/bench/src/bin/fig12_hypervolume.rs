@@ -16,6 +16,7 @@
 //! worker threads under a global governor (`threads=` caps the total);
 //! results are identical to `jobs=1`, only wall-clock changes.
 
+use archexplorer::cliopt::parse_suite;
 use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig};
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
@@ -163,20 +164,27 @@ fn main() {
             .max(1),
     };
 
-    let trim = |v: Vec<Workload>| truncate_suite(v, limit.max(1));
+    let names = match which.as_str() {
+        "both" => vec!["spec06", "spec17"],
+        one => vec![one],
+    };
+    // Resolve every name before running anything, so a typo fails fast.
+    let suites: Vec<(String, Vec<Workload>)> = names
+        .into_iter()
+        .map(|name| match parse_suite(name) {
+            Ok(suite) => (name.to_uppercase(), truncate_suite(suite, limit.max(1))),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        })
+        .collect();
     let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| cfg.seed + i).collect();
-    if which == "spec06" || which == "both" {
+    for (name, suite) in suites {
         if n_seeds > 1 {
-            run_suite_sweep("SPEC06", trim(spec06_suite()), &cfg, &seeds, &parallel);
+            run_suite_sweep(&name, suite, &cfg, &seeds, &parallel);
         } else {
-            run_suite("SPEC06", trim(spec06_suite()), &cfg, &parallel);
-        }
-    }
-    if which == "spec17" || which == "both" {
-        if n_seeds > 1 {
-            run_suite_sweep("SPEC17", trim(spec17_suite()), &cfg, &seeds, &parallel);
-        } else {
-            run_suite("SPEC17", trim(spec17_suite()), &cfg, &parallel);
+            run_suite(&name, suite, &cfg, &parallel);
         }
     }
     archx_bench::emit::emit_telemetry(&telemetry_mode);

@@ -77,7 +77,12 @@ fn main() {
         .into_iter()
         .filter(|w| w.id.0.contains("sjeng"))
         .collect();
-    let evaluator = Evaluator::builder(suite).window(instrs).seed(seed).build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: instrs,
+        seed,
+        ..CampaignConfig::default()
+    };
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
     let space = DesignSpace::table4();
     let mut rng = StdRng::seed_from_u64(seed);
 

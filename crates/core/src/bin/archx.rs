@@ -52,24 +52,16 @@
 
 use archexplorer::cliopt::{
     extract_telemetry, get, get_opt, normalize_flags, parse_kv, parse_method, parse_methods,
-    parse_seeds, TelemetryMode,
+    parse_seeds, parse_suite, TelemetryMode,
 };
 use archexplorer::deg::prelude::*;
-use archexplorer::dse::campaign::{build_evaluator_in, run_method_on, CampaignConfig};
 use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
 use archexplorer::sim::extern_trace;
 use archexplorer::telemetry;
-use archexplorer::workloads::TraceStore;
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
-
-fn suite_of(kv: &HashMap<String, String>) -> Suite {
-    match kv.get("suite").map(String::as_str) {
-        Some("spec17") => Suite::Spec17,
-        _ => Suite::Spec06,
-    }
-}
 
 /// Workload list: `suite_file=PATH` (custom suite description) wins over
 /// the bundled `suite=spec06|spec17`.
@@ -78,7 +70,7 @@ fn workloads_of(kv: &HashMap<String, String>) -> Result<Vec<Workload>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         return archexplorer::workloads::parse_suite(&text).map_err(|e| e.to_string());
     }
-    Ok(suite_of(kv).workloads())
+    parse_suite(kv.get("suite").map_or("spec06", String::as_str))
 }
 
 fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String> {
@@ -96,13 +88,14 @@ fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String
 }
 
 fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
-    use archexplorer::dse::eval::{Analysis, Evaluator};
     let arch = arch_with_overrides(kv)?;
     let suite = truncate_suite(workloads_of(kv)?, get(kv, "workloads", usize::MAX)?.max(1));
-    let evaluator = Evaluator::builder(suite)
-        .window(get(kv, "instrs", 20_000)?)
-        .seed(get(kv, "seed", 1)?)
-        .build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: get(kv, "instrs", 20_000)?,
+        seed: get(kv, "seed", 1)?,
+        ..CampaignConfig::default()
+    };
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
     println!("design: {arch}");
     let e = evaluator
         .evaluate_with(&arch, Analysis::NewDeg)
@@ -157,30 +150,24 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
     if get(kv, "progress", 0u8)? == 1 {
         evaluator.set_progress_sink(std::sync::Arc::new(StderrProgress));
     }
-    // The fingerprint pins everything the journal's replayed results
-    // depend on; mismatched resumes are rejected field-by-field.
-    let fp = evaluator.fingerprint(vec![
-        ("method".to_string(), method.to_string()),
-        ("search_seed".to_string(), cfg.seed.to_string()),
-    ]);
     if kv.contains_key("journal") && kv.contains_key("resume") {
         return Err(
             "use journal=PATH for a fresh campaign or resume=PATH to continue one, not both".into(),
         );
     }
+    let spec = RunSpec {
+        method,
+        seed: cfg.seed,
+    };
     if let Some(path) = kv.get("resume") {
-        let (journal, records) = Journal::resume(path, &fp).map_err(|e| e.to_string())?;
-        let replayed = records.len();
-        let sims = evaluator.warm_start(records);
-        evaluator.set_journal(journal);
+        let (replayed, sims) = attach_journal(&evaluator, Path::new(path), &spec, true)?;
         eprintln!(
             "resumed {path}: {replayed} journaled evaluation(s) replayed, \
              {sims}/{} simulations already spent",
             cfg.sim_budget
         );
     } else if let Some(path) = kv.get("journal") {
-        let journal = Journal::create(path, &fp).map_err(|e| e.to_string())?;
-        evaluator.set_journal(journal);
+        attach_journal(&evaluator, Path::new(path), &spec, false)?;
         eprintln!("journaling evaluations to {path}");
     }
     let log = run_method_on(
@@ -233,6 +220,37 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
     );
     println!("Pareto hypervolume: {hv:.4}");
     Ok(())
+}
+
+/// Attaches the journal at `path` to `evaluator`. The fingerprint pins
+/// everything the journal's replayed results depend on (the evaluator's
+/// configuration plus the run's method and search seed), so a mismatched
+/// resume is rejected field by field. With `resume` the file must exist
+/// and its records warm-start the evaluator; without it a fresh journal is
+/// created. Returns the evaluations replayed and the simulations they had
+/// spent (both 0 for a fresh journal).
+fn attach_journal(
+    evaluator: &Evaluator,
+    path: &Path,
+    spec: &RunSpec,
+    resume: bool,
+) -> Result<(usize, u64), String> {
+    let fp = evaluator.fingerprint(vec![
+        ("method".to_string(), spec.method.to_string()),
+        ("search_seed".to_string(), spec.seed.to_string()),
+    ]);
+    if !resume {
+        evaluator.set_journal(Journal::create(path, &fp).map_err(|e| e.to_string())?);
+        return Ok((0, 0));
+    }
+    if !path.exists() {
+        return Err(format!("{}: no journal to resume", path.display()));
+    }
+    let (journal, records) = Journal::resume(path, &fp).map_err(|e| e.to_string())?;
+    let replayed = records.len();
+    let sims = evaluator.warm_start(records);
+    evaluator.set_journal(journal);
+    Ok((replayed, sims))
 }
 
 fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
@@ -296,24 +314,17 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
             return Ok(());
         };
         let path = run_journal_path(dir, spec);
-        let fp = evaluator.fingerprint(vec![
-            ("method".to_string(), spec.method.to_string()),
-            ("search_seed".to_string(), spec.seed.to_string()),
-        ]);
-        if resuming && path.exists() {
-            let (journal, records) = Journal::resume(&path, &fp).map_err(|e| e.to_string())?;
-            let replayed = records.len();
-            let sims = evaluator.warm_start(records);
-            evaluator.set_journal(journal);
+        // A run with no file yet (killed before its first write) starts a
+        // fresh journal even under `resume`.
+        let resume = resuming && path.exists();
+        let (replayed, sims) = attach_journal(evaluator, &path, spec, resume)?;
+        if resume {
             eprintln!(
                 "  [{}] resumed {}: {replayed} evaluation(s) replayed, {sims} \
                  simulation(s) already spent",
                 spec.label(),
                 path.display()
             );
-        } else {
-            let journal = Journal::create(&path, &fp).map_err(|e| e.to_string())?;
-            evaluator.set_journal(journal);
         }
         Ok(())
     };

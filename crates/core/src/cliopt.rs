@@ -8,6 +8,7 @@
 //! instead of being copy-pasted per binary.
 
 use archx_dse::campaign::Method;
+use archx_workloads::{spec06_suite, spec17_suite, Workload};
 use std::collections::HashMap;
 
 /// Collects `key=value` arguments into a map; other arguments are ignored
@@ -166,6 +167,18 @@ pub fn parse_methods(spec: &str) -> Result<Vec<Method>, String> {
         return Err("method list selected no methods".into());
     }
     Ok(methods)
+}
+
+/// Parses a bundled suite name (`spec06` or `spec17`) into its workload
+/// list.
+pub fn parse_suite(name: &str) -> Result<Vec<Workload>, String> {
+    match name {
+        "spec06" => Ok(spec06_suite()),
+        "spec17" => Ok(spec17_suite()),
+        other => Err(format!(
+            "unknown suite `{other}` (expected spec06 or spec17)"
+        )),
+    }
 }
 
 /// Parses a comma-separated seed list (`1,2,3`). Rejects empty lists and
@@ -333,6 +346,19 @@ mod tests {
             "absent is not an error"
         );
         assert_eq!(get_opt::<u32>(&kv, "retries"), Ok(Some(2)));
+    }
+
+    #[test]
+    fn suite_names_select_a_bundled_suite_or_fail() {
+        assert_eq!(parse_suite("spec06").unwrap(), spec06_suite());
+        assert_eq!(parse_suite("spec17").unwrap(), spec17_suite());
+        let err = parse_suite("spec71").expect_err("unknown suite");
+        assert!(err.contains("`spec71`"), "{err}");
+        assert!(parse_suite("SPEC06").is_err(), "names are lowercase");
+        assert!(
+            parse_suite("both").is_err(),
+            "front ends expand `both` themselves"
+        );
     }
 
     #[test]

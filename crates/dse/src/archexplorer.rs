@@ -247,15 +247,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archx_workloads::spec06_suite;
 
     fn tiny_evaluator() -> Evaluator {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        Evaluator::builder(suite)
-            .window(2_000)
-            .seed(7)
-            .threads(1)
-            .build()
+        crate::eval::test_evaluator(2, 2_000, 7)
     }
 
     #[test]

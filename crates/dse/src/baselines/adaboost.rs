@@ -45,16 +45,10 @@ pub fn run_adaboost(
 mod tests {
     use super::*;
     use crate::pareto::RefPoint;
-    use archx_workloads::spec06_suite;
 
     #[test]
     fn runs_within_budget_and_learns() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let ev = Evaluator::builder(suite)
-            .window(1_000)
-            .seed(1)
-            .threads(1)
-            .build();
+        let ev = crate::eval::test_evaluator(2, 1_000, 1);
         let log = run_adaboost(&DesignSpace::table4(), &ev, 30, 7);
         assert!(ev.sim_count() >= 30);
         assert!(!log.records.is_empty());

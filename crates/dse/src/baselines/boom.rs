@@ -79,7 +79,6 @@ pub fn run_boom_explorer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archx_workloads::spec06_suite;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -97,12 +96,7 @@ mod tests {
 
     #[test]
     fn respects_budget() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let ev = Evaluator::builder(suite)
-            .window(1_000)
-            .seed(1)
-            .threads(1)
-            .build();
+        let ev = crate::eval::test_evaluator(2, 1_000, 1);
         let log = run_boom_explorer(&DesignSpace::table4(), &ev, 24, 5);
         assert!(ev.sim_count() >= 24);
         assert!(log.records.len() >= 12);

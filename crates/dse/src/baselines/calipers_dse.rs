@@ -32,16 +32,10 @@ pub fn run_calipers_dse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archx_workloads::spec06_suite;
 
     #[test]
     fn runs_and_uses_static_reports() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let ev = Evaluator::builder(suite)
-            .window(1_000)
-            .seed(1)
-            .threads(1)
-            .build();
+        let ev = crate::eval::test_evaluator(2, 1_000, 1);
         let log = run_calipers_dse(&DesignSpace::table4(), &ev, 16, 1);
         assert!(ev.sim_count() >= 16);
         assert_eq!(log.method, "Calipers");

@@ -30,16 +30,10 @@ pub fn run_random_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archx_workloads::spec06_suite;
 
     #[test]
     fn explores_until_budget() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let ev = Evaluator::builder(suite)
-            .window(1_000)
-            .seed(1)
-            .threads(1)
-            .build();
+        let ev = crate::eval::test_evaluator(2, 1_000, 1);
         let log = run_random_search(&DesignSpace::table4(), &ev, 10, 42);
         assert!(ev.sim_count() >= 10);
         assert!(log.records.len() >= 5);

@@ -73,16 +73,10 @@ pub fn run_archranker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archx_workloads::spec06_suite;
 
     #[test]
     fn respects_budget() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let ev = Evaluator::builder(suite)
-            .window(1_000)
-            .seed(1)
-            .threads(1)
-            .build();
+        let ev = crate::eval::test_evaluator(2, 1_000, 1);
         let log = run_archranker(&DesignSpace::table4(), &ev, 26, 3);
         assert!(ev.sim_count() >= 26);
         assert!(log.records.len() >= 13);

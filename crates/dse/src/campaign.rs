@@ -6,7 +6,7 @@
 //!
 //! Every (method × seed) run owns a fresh evaluator and a deterministic
 //! RNG, so runs are embarrassingly parallel. [`CampaignRunner`] fans runs
-//! out across `jobs` worker threads under a shared [`ThreadGovernor`]
+//! out across `jobs` worker threads under a shared thread governor
 //! bounding *total* threads (campaign jobs plus each evaluator's workload
 //! workers never exceed `total_threads`), with:
 //!
@@ -25,7 +25,7 @@ use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
 use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
-use crate::eval::{Evaluator, EvaluatorBuilder, RunLog, SimLimits};
+use crate::eval::{Evaluator, RunLog};
 use crate::governor::{run_ordered, ThreadGovernor};
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
@@ -126,10 +126,12 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Builds the evaluator a campaign run uses for this configuration.
-/// Callers attach a journal / warm-start it before calling
-/// [`run_method_on`]. Traces resolve through `store`: pass
-/// [`TraceStore::global()`] so every evaluator built for the same
+/// Builds an [`Evaluator`] over `suite` for this configuration — the only
+/// public way to build one. Callers attach a journal / warm-start it
+/// before calling [`run_method_on`]. The window and the thread count are
+/// clamped to at least 1, and traces use
+/// `cfg.trace_seed.unwrap_or(cfg.seed)`. Traces resolve through `store`:
+/// pass [`TraceStore::global()`] so every evaluator built for the same
 /// `(workload, trace seed, window)` shares one synthesised trace, or a
 /// private store to isolate a campaign's hit/miss accounting or bound the
 /// store's lifetime to the campaign.
@@ -138,25 +140,7 @@ pub fn build_evaluator_in(
     cfg: &CampaignConfig,
     store: Arc<TraceStore>,
 ) -> Evaluator {
-    evaluator_builder(suite, cfg, store).build()
-}
-
-/// The one mapping from a [`CampaignConfig`] to evaluator settings.
-fn evaluator_builder(
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    store: Arc<TraceStore>,
-) -> EvaluatorBuilder {
-    Evaluator::builder(suite.to_vec())
-        .window(cfg.instrs_per_workload)
-        .seed(cfg.trace_seed.unwrap_or(cfg.seed))
-        .trace_store(store)
-        .threads(cfg.threads)
-        .limits(SimLimits {
-            cycle_budget: cfg.cycle_budget,
-            deadlock_watchdog: SimLimits::default().deadlock_watchdog,
-        })
-        .max_retries(cfg.max_retries)
+    Evaluator::new(suite, cfg, store, None)
 }
 
 /// Runs one method on a caller-supplied evaluator — the entry point for
@@ -233,8 +217,9 @@ pub struct ParallelConfig {
     /// Concurrent (method × seed) runs. 1 = sequential.
     pub jobs: usize,
     /// Global thread budget shared by campaign jobs *and* their
-    /// evaluators' workload workers (see [`ThreadGovernor`]). When it is
-    /// smaller than `jobs`, runs are throttled rather than oversubscribed.
+    /// evaluators' workload workers, handed out as permits by one thread
+    /// governor. When it is smaller than `jobs`, runs are throttled
+    /// rather than oversubscribed.
     pub total_threads: usize,
 }
 
@@ -311,7 +296,7 @@ impl std::error::Error for CampaignError {}
 pub type RunSetup<'a> = dyn Fn(&RunSpec, &Evaluator) -> Result<(), String> + Sync + 'a;
 
 /// Executes campaign runs — sequentially or fanned out across a worker
-/// pool under a global [`ThreadGovernor`] — with deterministic result
+/// pool under a global thread governor — with deterministic result
 /// ordering, per-run progress labelling, and optional per-run setup.
 pub struct CampaignRunner<'a> {
     parallel: ParallelConfig,
@@ -407,9 +392,7 @@ impl<'a> CampaignRunner<'a> {
                 ..cfg.clone()
             };
             let store = self.trace_store.clone().unwrap_or_else(TraceStore::global);
-            let evaluator = evaluator_builder(suite, &run_cfg, store)
-                .governor(Arc::clone(&governor))
-                .build();
+            let evaluator = Evaluator::new(suite, &run_cfg, store, Some(Arc::clone(&governor)));
             if let Some(sink) = &self.sink {
                 evaluator
                     .set_progress_sink(Arc::new(LabelledSink::new(spec.label(), Arc::clone(sink))));
@@ -640,6 +623,45 @@ mod tests {
         assert_eq!(curves.len(), Method::ALL.len());
         let hv = campaign.hv_at("Random", &RefPoint::default(), 16);
         assert!(hv.is_some());
+    }
+
+    #[test]
+    fn trace_seed_decouples_search_from_traces() {
+        // A fixed trace seed gives identical workload traces, so the same
+        // design evaluates identically whatever the search seed; without
+        // one, the search seed also picks the traces.
+        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
+        let eval = |seed, trace_seed| {
+            let cfg = CampaignConfig {
+                instrs_per_workload: 800,
+                seed,
+                trace_seed,
+                threads: 1,
+                ..CampaignConfig::default()
+            };
+            build_evaluator_in(&suite, &cfg, TraceStore::global())
+                .evaluate(&archx_sim::MicroArch::baseline())
+                .expect("evaluates")
+        };
+        assert_eq!(eval(1, Some(7)), eval(2, Some(7)));
+        assert_ne!(eval(1, None), eval(2, None));
+    }
+
+    #[test]
+    fn run_method_on_reports_exact_sim_count_through_sink() {
+        let ev = crate::eval::test_evaluator(2, 1_000, 1); // 2 sims per design
+        let sink = Arc::new(archx_telemetry::CollectingSink::new());
+        ev.set_progress_sink(sink.clone());
+        let budget = 6;
+        let log = run_method_on(Method::Random, &DesignSpace::table4(), &ev, budget, 1);
+        // Random search evaluates whole designs: with 2 workloads and a
+        // budget of 6, exactly 3 designs = 6 simulations are reported.
+        assert_eq!(sink.max_sims_done(), budget);
+        assert_eq!(sink.len(), log.records.len());
+        let last = sink.last().expect("events were emitted");
+        assert_eq!(last.sim_budget, budget);
+        assert_eq!(last.source, Method::Random.to_string());
+        assert!(last.hypervolume > 0.0);
     }
 
     #[test]

@@ -51,11 +51,13 @@ impl ThreadGovernor {
     }
 
     /// The configured permit total.
+    #[cfg(test)]
     pub fn total(&self) -> usize {
         self.total
     }
 
     /// Permits currently unclaimed.
+    #[cfg(test)]
     pub fn available(&self) -> usize {
         *lock(&self.available)
     }

@@ -50,7 +50,7 @@ pub mod archexplorer;
 pub mod baselines;
 pub mod campaign;
 pub mod eval;
-pub mod governor;
+pub(crate) mod governor;
 pub mod journal;
 pub mod ml;
 pub mod pareto;
@@ -75,10 +75,9 @@ pub mod prelude {
     };
     pub use crate::default_threads;
     pub use crate::eval::{
-        Analysis, DesignEval, EvalError, EvalFailure, EvalRecord, Evaluator, EvaluatorBuilder,
-        QuarantineEntry, RunLog, SimLimits,
+        Analysis, DesignEval, EvalError, EvalFailure, EvalRecord, Evaluator, QuarantineEntry,
+        RunLog, SimLimits,
     };
-    pub use crate::governor::{Lease, ThreadGovernor};
     pub use crate::journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
     pub use crate::pareto::{dominates, hypervolume, pareto_front, ExplorationSet, RefPoint};
     pub use crate::space::{DesignSpace, ParamId};
@@ -91,10 +90,8 @@ pub use campaign::{
     CampaignConfig, CampaignError, CampaignRunner, Method, ParallelConfig, RunSpec, SweepCurve,
 };
 pub use eval::{
-    Analysis, DesignEval, EvalError, EvalFailure, Evaluator, EvaluatorBuilder, QuarantineEntry,
-    RunLog, SimLimits,
+    Analysis, DesignEval, EvalError, EvalFailure, Evaluator, QuarantineEntry, RunLog, SimLimits,
 };
-pub use governor::{Lease, ThreadGovernor};
 pub use journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
 pub use pareto::{hypervolume, pareto_front, ExplorationSet, RefPoint};
 pub use space::{DesignSpace, ParamId};

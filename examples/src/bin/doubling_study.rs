@@ -10,13 +10,14 @@ use archexplorer::dse::space::ParamId;
 use archexplorer::prelude::*;
 
 fn main() {
-    let session = Session::builder()
-        .suite(Suite::Spec17)
-        .workload_limit(5)
-        .instrs_per_workload(10_000)
-        .build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: 10_000,
+        ..CampaignConfig::default()
+    };
+    let suite = truncate_suite(spec17_suite(), 5);
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
     let baseline = MicroArch::baseline();
-    let base = session.evaluate(&baseline).expect("evaluates").ppa;
+    let base = evaluator.evaluate(&baseline).expect("evaluates").ppa;
     println!(
         "baseline: IPC {:.4}, power {:.4} W, area {:.4} mm², trade-off {:.4}\n",
         base.ipc,
@@ -48,7 +49,7 @@ fn main() {
         if arch.validate().is_err() {
             continue;
         }
-        let ppa = session.evaluate(&arch).expect("evaluates").ppa;
+        let ppa = evaluator.evaluate(&arch).expect("evaluates").ppa;
         println!(
             "{label:<16} {:>+7.2}% {:>+7.2}% {:>+7.2}% {:>+7.2}%",
             100.0 * (ppa.ipc / base.ipc - 1.0),

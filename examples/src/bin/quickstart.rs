@@ -8,18 +8,19 @@
 use archexplorer::prelude::*;
 
 fn main() {
-    // A small, fast session: 4 SPEC06-like workloads, 10 K instructions
+    // A small, fast evaluator: 4 SPEC06-like workloads, 10 K instructions
     // each (the paper analyses the first 100 K of each Simpoint; scale up
     // with `instrs_per_workload` if you have the time).
-    let session = Session::builder()
-        .suite(Suite::Spec06)
-        .workload_limit(4)
-        .instrs_per_workload(10_000)
-        .build();
+    let suite = truncate_suite(spec06_suite(), 4);
+    let cfg = CampaignConfig {
+        instrs_per_workload: 10_000,
+        ..CampaignConfig::default()
+    };
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
 
     // 1. Evaluate the paper's Table 1 baseline.
     let baseline = MicroArch::baseline();
-    let eval = session.evaluate(&baseline).expect("baseline evaluates");
+    let eval = evaluator.evaluate(&baseline).expect("baseline evaluates");
     println!("baseline: {baseline}");
     println!(
         "  IPC {:.4}  power {:.4} W  area {:.4} mm²  PPA trade-off {:.4}\n",
@@ -30,13 +31,18 @@ fn main() {
     );
 
     // 2. Where do the cycles go? (critical-path bottleneck report)
-    let report = session.analyze(&baseline).expect("analysis");
+    let report = evaluator
+        .evaluate_with(&baseline, Analysis::NewDeg)
+        .expect("analysis")
+        .report
+        .expect("analysis requested");
     println!("{}", report.render());
 
-    // 3. Let ArchExplorer reassign hardware for 120 simulations.
-    let log = session
-        .explore(Method::ArchExplorer, 120, None)
-        .expect("exploration");
+    // 3. Let ArchExplorer reassign hardware for 120 simulations, on a
+    //    fresh evaluator so its budget counts from zero.
+    let explorer = build_evaluator_in(&suite, &cfg, TraceStore::global());
+    let space = DesignSpace::table4();
+    let log = run_method_on(Method::ArchExplorer, &space, &explorer, 120, cfg.seed);
     let best = log.best_tradeoff().expect("explored at least one design");
     println!(
         "after {} designs ({} simulations):",

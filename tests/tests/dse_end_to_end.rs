@@ -76,17 +76,17 @@ fn exploration_set_hypervolume_is_monotone_over_the_run() {
 #[test]
 fn constrained_objective_finds_feasible_designs() {
     use archexplorer::dse::archexplorer::{run_archexplorer, ArchExplorerOptions, Objective};
-    use archexplorer::dse::eval::Evaluator;
     let space = DesignSpace::table4();
     let objective = Objective::ConstrainedPerf {
         power_cap: 0.2,
         area_cap: 5.0,
     };
-    let ev = Evaluator::builder(suite())
-        .window(3_000)
-        .seed(1)
-        .threads(2)
-        .build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: 3_000,
+        seed: 1,
+        ..cfg(60)
+    };
+    let ev = build_evaluator_in(&suite(), &cfg, TraceStore::global());
     let opts = ArchExplorerOptions {
         objective,
         ..Default::default()

@@ -3,7 +3,9 @@
 //! once however many jobs run, retries slice the shared trace instead of
 //! regenerating it, and arena reuse never changes an evaluation result.
 
-use archexplorer::dse::campaign::{CampaignConfig, CampaignRunner, ParallelConfig, RunSpec};
+use archexplorer::dse::campaign::{
+    build_evaluator_in, CampaignConfig, CampaignRunner, ParallelConfig, RunSpec,
+};
 use archexplorer::prelude::*;
 use archexplorer::workloads::TraceStore;
 use rand::rngs::StdRng;
@@ -94,14 +96,12 @@ fn arena_reuse_is_byte_identical_to_fresh_allocation() {
         .into_iter()
         .chain((0..6).map(|_| space.random(&mut rng)))
         .collect();
-    let build = || {
-        Evaluator::builder(suite.clone())
-            .window(2_000)
-            .seed(1)
-            .trace_store(Arc::new(TraceStore::new()))
-            .threads(1)
-            .build()
+    let cfg = CampaignConfig {
+        instrs_per_workload: 2_000,
+        threads: 1,
+        ..CampaignConfig::default()
     };
+    let build = || build_evaluator_in(&suite, &cfg, Arc::new(TraceStore::new()));
     // Cold: every design on a freshly spawned thread, which starts with a
     // fresh thread-local evaluation arena. Warm: every design in sequence
     // on this thread, reusing one arena throughout.
@@ -156,12 +156,13 @@ fn fused_evaluation_matches_a_materialised_replay() {
 
     let suite = suite(2);
     let (window, seed) = (1_500, 3);
-    let ev = Evaluator::builder(suite.clone())
-        .window(window)
-        .seed(seed)
-        .trace_store(Arc::new(TraceStore::new()))
-        .threads(1)
-        .build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: window,
+        seed,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let ev = build_evaluator_in(&suite, &cfg, Arc::new(TraceStore::new()));
     let mut arena = DegArena::new();
     for arch in [MicroArch::baseline(), MicroArch::tiny()] {
         let eval = ev

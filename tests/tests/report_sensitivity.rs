@@ -4,18 +4,27 @@
 
 use archexplorer::prelude::*;
 
-fn session() -> Session {
-    Session::builder()
-        .suite(Suite::Spec06)
-        .workload_limit(3)
-        .instrs_per_workload(6_000)
-        .threads(1)
-        .build()
+/// A serial evaluator over `suite` with the given instruction window.
+fn evaluator(suite: &[Workload], window: usize) -> Evaluator {
+    let cfg = CampaignConfig {
+        instrs_per_workload: window,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    build_evaluator_in(suite, &cfg, TraceStore::global())
+}
+
+/// The merged bottleneck report of `arch` (the new DEG analysis).
+fn analyze(ev: &Evaluator, arch: &MicroArch) -> BottleneckReport {
+    ev.evaluate_with(arch, Analysis::NewDeg)
+        .expect("evaluates")
+        .report
+        .expect("analysis requested")
 }
 
 #[test]
 fn starving_the_rob_raises_its_contribution() {
-    let s = session();
+    let ev = evaluator(&truncate_suite(spec06_suite(), 3), 6_000);
     let mut small = MicroArch::baseline();
     small.rob_entries = 32;
     small.int_rf = 300;
@@ -23,14 +32,8 @@ fn starving_the_rob_raises_its_contribution() {
     small.iq_entries = 80;
     let mut big = small;
     big.rob_entries = 256;
-    let c_small = s
-        .analyze(&small)
-        .expect("analysis")
-        .contribution(BottleneckSource::Rob);
-    let c_big = s
-        .analyze(&big)
-        .expect("analysis")
-        .contribution(BottleneckSource::Rob);
+    let c_small = analyze(&ev, &small).contribution(BottleneckSource::Rob);
+    let c_big = analyze(&ev, &big).contribution(BottleneckSource::Rob);
     assert!(
         c_small > c_big,
         "ROB contribution must fall when the ROB grows: {c_small} vs {c_big}"
@@ -41,7 +44,6 @@ fn starving_the_rob_raises_its_contribution() {
 fn branch_hostile_code_raises_bpred() {
     // A branch-hostile workload (sjeng-like) must show a larger BPred
     // contribution than a predictable floating-point one (namd-like).
-    use archexplorer::dse::eval::{Analysis, Evaluator};
     let suite = spec06_suite();
     let pick = |name: &str| {
         suite
@@ -51,18 +53,8 @@ fn branch_hostile_code_raises_bpred() {
             .expect("workload present")
     };
     let arch = MicroArch::baseline();
-    let bpred_of = |w| {
-        Evaluator::builder(vec![w])
-            .window(8_000)
-            .seed(1)
-            .threads(1)
-            .build()
-            .evaluate_with(&arch, Analysis::NewDeg)
-            .expect("evaluates")
-            .report
-            .expect("analysis requested")
-            .contribution(BottleneckSource::BPred)
-    };
+    let bpred_of =
+        |w| analyze(&evaluator(&[w], 8_000), &arch).contribution(BottleneckSource::BPred);
     let hostile = bpred_of(pick("sjeng"));
     let friendly = bpred_of(pick("namd"));
     assert!(
@@ -75,11 +67,11 @@ fn branch_hostile_code_raises_bpred() {
 fn contribution_guides_growth_usefully() {
     // Growing the top-ranked reassignable resource should help performance
     // more than growing the bottom-ranked one.
-    let s = session();
-    let space = s.space().clone();
+    let ev = evaluator(&truncate_suite(spec06_suite(), 3), 6_000);
+    let space = DesignSpace::table4();
     let arch = space.snap(&MicroArch::tiny());
-    let report = s.analyze(&arch).expect("analysis");
-    let base_ipc = s.evaluate(&arch).expect("evaluates").ppa.ipc;
+    let report = analyze(&ev, &arch);
+    let base_ipc = ev.evaluate(&arch).expect("evaluates").ppa.ipc;
 
     let ranked: Vec<_> = report
         .ranked()
@@ -95,7 +87,7 @@ fn contribution_guides_growth_usefully() {
                 break;
             }
         }
-        s.evaluate(&a).expect("evaluates").ppa.ipc
+        ev.evaluate(&a).expect("evaluates").ppa.ipc
     };
     let ipc_top = grow(top);
     assert!(

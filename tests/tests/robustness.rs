@@ -44,16 +44,11 @@ fn all_failing_campaign_still_finishes_its_budget() {
     // nothing to fit their model to.
     let budget = 48;
     for m in Method::ALL {
-        let ev = Evaluator::builder(suite())
-            .window(2_000)
-            .seed(9)
-            .threads(2)
-            .limits(SimLimits {
-                cycle_budget: Some(3),
-                ..SimLimits::default()
-            })
-            .max_retries(1)
-            .build();
+        let cfg = CampaignConfig {
+            cycle_budget: Some(3),
+            ..cfg(budget)
+        };
+        let ev = build_evaluator_in(&suite(), &cfg, TraceStore::global());
         let log = run_method_on(m, &DesignSpace::table4(), &ev, budget, 9);
         assert!(
             ev.sim_count() >= budget,
@@ -199,11 +194,11 @@ fn resume_rejects_a_mismatched_campaign() {
 
     // Different trace seed → different workloads → journaled results are
     // not transferable; resume must refuse rather than corrupt a search.
-    let other = Evaluator::builder(suite())
-        .window(2_000)
-        .seed(1234)
-        .threads(1)
-        .build();
+    let other_cfg = CampaignConfig {
+        seed: 1234,
+        ..cfg(8)
+    };
+    let other = build_evaluator_in(&suite(), &other_cfg, TraceStore::global());
     let err = Journal::resume(&path, &other.fingerprint(vec![])).expect_err("must mismatch");
     assert!(err.to_string().contains("trace_seed"), "got: {err}");
 

@@ -28,11 +28,13 @@ impl Fnv1a {
 /// Record count and digest of one search run.
 fn trajectory(method: Method, seed: u64) -> (usize, u64) {
     let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-    let evaluator = Evaluator::builder(suite)
-        .window(1_000)
-        .seed(1)
-        .threads(1)
-        .build();
+    let cfg = CampaignConfig {
+        instrs_per_workload: 1_000,
+        seed: 1,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
     let log = run_method_on(method, &DesignSpace::table4(), &evaluator, 60, seed);
     let mut h = Fnv1a::new();
     for rec in &log.records {
