@@ -9,51 +9,53 @@
 //! cargo run -p archx-bench --release --bin ext_replacement [instrs=N]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::deg::prelude::*;
 use archexplorer::prelude::*;
 use archexplorer::sim::config::ReplPolicy;
 use archexplorer::sim::OooCore;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let instrs = args.get_usize("instrs", 30_000);
-    // Memory-sensitive workloads.
-    let suite: Vec<Workload> = spec06_suite()
-        .into_iter()
-        .filter(|w| {
-            ["mcf", "soplex", "dealII", "libquantum"]
-                .iter()
-                .any(|n| w.id.0.contains(n))
-        })
-        .collect();
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let instrs = get(kv, "instrs", 30_000usize)?;
+        // Memory-sensitive workloads.
+        let suite: Vec<Workload> = spec06_suite()
+            .into_iter()
+            .filter(|w| {
+                ["mcf", "soplex", "dealII", "libquantum"]
+                    .iter()
+                    .any(|n| w.id.0.contains(n))
+            })
+            .collect();
 
-    let mut t = Table::new(["workload", "policy", "d$_miss_%", "ipc", "dcache_contrib_%"]);
-    for w in &suite {
-        let trace = w.generate(instrs, 1);
-        for policy in [ReplPolicy::Lru, ReplPolicy::Fifo, ReplPolicy::Random] {
-            let mut arch = MicroArch::baseline();
-            arch.replacement = policy;
-            let r = OooCore::new(arch).run(&trace).expect("simulates");
-            let mut deg = build_deg(&r);
-            let path = archexplorer::deg::critical::critical_path(&mut deg);
-            let rep = archexplorer::deg::bottleneck::analyze(&deg, &path);
-            t.row([
-                w.id.0.to_string(),
-                format!("{policy:?}"),
-                format!("{:.2}", 100.0 * r.stats.dcache_miss_rate()),
-                format!("{:.4}", r.stats.ipc()),
-                format!("{:.2}", 100.0 * rep.contribution(BottleneckSource::DCache)),
-            ]);
+        let mut t = Table::new(["workload", "policy", "d$_miss_%", "ipc", "dcache_contrib_%"]);
+        for w in &suite {
+            let trace = w.generate(instrs, 1);
+            for policy in [ReplPolicy::Lru, ReplPolicy::Fifo, ReplPolicy::Random] {
+                let mut arch = MicroArch::baseline();
+                arch.replacement = policy;
+                let r = OooCore::new(arch).run(&trace).expect("simulates");
+                let mut deg = build_deg(&r);
+                let path = archexplorer::deg::critical::critical_path(&mut deg);
+                let rep = archexplorer::deg::bottleneck::analyze(&deg, &path);
+                t.row([
+                    w.id.0.to_string(),
+                    format!("{policy:?}"),
+                    format!("{:.2}", 100.0 * r.stats.dcache_miss_rate()),
+                    format!("{:.4}", r.stats.ipc()),
+                    format!("{:.2}", 100.0 * rep.contribution(BottleneckSource::DCache)),
+                ]);
+            }
         }
-    }
-    println!(
-        "Cache replacement-policy study ({instrs} instrs per workload)\n{}",
-        t.to_text()
-    );
-    println!("expected: LRU ≤ FIFO ≈ random miss rates; the differences are small next to");
-    println!("capacity effects — matching the paper's point that pattern-hostile workloads");
-    println!("need smarter policies, not just bigger arrays.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        println!(
+            "Cache replacement-policy study ({instrs} instrs per workload)\n{}",
+            t.to_text()
+        );
+        println!("expected: LRU ≤ FIFO ≈ random miss rates; the differences are small next to");
+        println!("capacity effects — matching the paper's point that pattern-hostile workloads");
+        println!("need smarter policies, not just bigger arrays.");
+        Ok(())
+    })
 }

@@ -17,9 +17,11 @@
 //! results are identical to `jobs=1`, only wall-clock changes.
 
 use archexplorer::cliopt::parse_suite;
+use archexplorer::cliopt::{self, get};
 use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig};
 use archexplorer::prelude::*;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
 /// Multi-seed variant: prints mean ± std hypervolume per budget point.
 fn run_suite_sweep(
@@ -142,50 +144,39 @@ fn run_suite(name: &str, suite: Vec<Workload>, cfg: &CampaignConfig, parallel: &
     );
 }
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 360),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
-    let limit = args.get_usize("workloads", usize::MAX);
-    let which = args.get_str("suite", "both");
-    let n_seeds = args.get_usize("seeds", 1);
-    let jobs = args.get_usize("jobs", 1).max(1);
-    let parallel = ParallelConfig {
-        jobs,
-        total_threads: args
-            .get_usize("threads", jobs.max(archexplorer::dse::default_threads()))
-            .max(1),
-    };
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let cfg = CampaignConfig {
+            sim_budget: get(kv, "budget", 360u64)?,
+            instrs_per_workload: get(kv, "instrs", 20_000usize)?,
+            seed: get(kv, "seed", 1u64)?,
+            ..CampaignConfig::default()
+        };
+        let limit = get(kv, "workloads", usize::MAX)?;
+        let which = get(kv, "suite", "both".to_string())?;
+        let n_seeds = get(kv, "seeds", 1usize)?;
+        let parallel = cliopt::parallel(kv)?;
 
-    let names = match which.as_str() {
-        "both" => vec!["spec06", "spec17"],
-        one => vec![one],
-    };
-    // Resolve every name before running anything, so a typo fails fast.
-    let suites: Vec<(String, Vec<Workload>)> = names
-        .into_iter()
-        .map(|name| match parse_suite(name) {
-            Ok(suite) => (name.to_uppercase(), truncate_suite(suite, limit.max(1))),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
+        let names = match which.as_str() {
+            "both" => vec!["spec06", "spec17"],
+            one => vec![one],
+        };
+        // Resolve every name before running anything, so a typo fails fast.
+        let suites: Vec<(String, Vec<Workload>)> = names
+            .into_iter()
+            .map(|name| {
+                let suite = parse_suite(name)?;
+                Ok((name.to_uppercase(), truncate_suite(suite, limit.max(1))))
+            })
+            .collect::<Result<_, String>>()?;
+        let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| cfg.seed + i).collect();
+        for (name, suite) in suites {
+            if n_seeds > 1 {
+                run_suite_sweep(&name, suite, &cfg, &seeds, &parallel);
+            } else {
+                run_suite(&name, suite, &cfg, &parallel);
             }
-        })
-        .collect();
-    let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| cfg.seed + i).collect();
-    for (name, suite) in suites {
-        if n_seeds > 1 {
-            run_suite_sweep(&name, suite, &cfg, &seeds, &parallel);
-        } else {
-            run_suite(&name, suite, &cfg, &parallel);
         }
-    }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        Ok(())
+    })
 }

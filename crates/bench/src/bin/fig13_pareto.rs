@@ -11,86 +11,86 @@
 //!     [budget=N] [instrs=N] [seed=S] [workloads=N]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::dse::campaign::CampaignRunner;
 use archexplorer::prelude::*;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 360),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
-    let limit = args.get_usize("workloads", usize::MAX);
-    let suite = truncate_suite(spec06_suite(), limit.max(1));
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let cfg = CampaignConfig {
+            sim_budget: get(kv, "budget", 360u64)?,
+            instrs_per_workload: get(kv, "instrs", 20_000usize)?,
+            seed: get(kv, "seed", 1u64)?,
+            ..CampaignConfig::default()
+        };
+        let limit = get(kv, "workloads", usize::MAX)?;
+        let suite = truncate_suite(spec06_suite(), limit.max(1));
 
-    let methods = [
-        Method::ArchExplorer,
-        Method::AdaBoost,
-        Method::ArchRanker,
-        Method::BoomExplorer,
-    ];
-    eprintln!(
-        "[SPEC06] running {} methods x {} sims...",
-        methods.len(),
-        cfg.sim_budget
-    );
-    let campaign = CampaignRunner::new()
-        .run(&methods, &DesignSpace::table4(), &suite, &cfg)
-        .expect("infallible without per-run setup hooks");
+        let methods = [
+            Method::ArchExplorer,
+            Method::AdaBoost,
+            Method::ArchRanker,
+            Method::BoomExplorer,
+        ];
+        eprintln!(
+            "[SPEC06] running {} methods x {} sims...",
+            methods.len(),
+            cfg.sim_budget
+        );
+        let campaign = CampaignRunner::new()
+            .run(&methods, &DesignSpace::table4(), &suite, &cfg)
+            .expect("infallible without per-run setup hooks");
 
-    println!("Figure 13 data: Pareto-frontier points per method (CSV)");
-    let mut t = Table::new(["method", "ipc", "power_w", "area_mm2", "tradeoff"]);
-    for log in &campaign.logs {
-        for (_, ppa) in log.frontier() {
-            t.row([
+        println!("Figure 13 data: Pareto-frontier points per method (CSV)");
+        let mut t = Table::new(["method", "ipc", "power_w", "area_mm2", "tradeoff"]);
+        for log in &campaign.logs {
+            for (_, ppa) in log.frontier() {
+                t.row([
+                    log.method.clone(),
+                    format!("{:.4}", ppa.ipc),
+                    format!("{:.4}", ppa.power_w),
+                    format!("{:.4}", ppa.area_mm2),
+                    format!("{:.4}", ppa.tradeoff()),
+                ]);
+            }
+        }
+        println!("{}", t.to_csv());
+
+        println!("PPA trade-off distribution of Pareto designs:");
+        let mut s = Table::new(["method", "n", "mean", "min", "max"]);
+        let mut means: Vec<(String, f64)> = Vec::new();
+        for log in &campaign.logs {
+            let tr: Vec<f64> = log.frontier().iter().map(|(_, p)| p.tradeoff()).collect();
+            let mean = tr.iter().sum::<f64>() / tr.len().max(1) as f64;
+            means.push((log.method.clone(), mean));
+            s.row([
                 log.method.clone(),
-                format!("{:.4}", ppa.ipc),
-                format!("{:.4}", ppa.power_w),
-                format!("{:.4}", ppa.area_mm2),
-                format!("{:.4}", ppa.tradeoff()),
+                tr.len().to_string(),
+                format!("{mean:.4}"),
+                format!("{:.4}", tr.iter().copied().fold(f64::INFINITY, f64::min)),
+                format!(
+                    "{:.4}",
+                    tr.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+                ),
             ]);
         }
-    }
-    println!("{}", t.to_csv());
+        println!("{}", s.to_text());
 
-    println!("PPA trade-off distribution of Pareto designs:");
-    let mut s = Table::new(["method", "n", "mean", "min", "max"]);
-    let mut means: Vec<(String, f64)> = Vec::new();
-    for log in &campaign.logs {
-        let tr: Vec<f64> = log.frontier().iter().map(|(_, p)| p.tradeoff()).collect();
-        let mean = tr.iter().sum::<f64>() / tr.len().max(1) as f64;
-        means.push((log.method.clone(), mean));
-        s.row([
-            log.method.clone(),
-            tr.len().to_string(),
-            format!("{mean:.4}"),
-            format!("{:.4}", tr.iter().copied().fold(f64::INFINITY, f64::min)),
-            format!(
-                "{:.4}",
-                tr.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            ),
-        ]);
-    }
-    println!("{}", s.to_text());
-
-    let ax = means
-        .iter()
-        .find(|(m, _)| m == "ArchExplorer")
-        .map(|&(_, v)| v)
-        .unwrap_or(0.0);
-    for (m, v) in &means {
-        if m != "ArchExplorer" {
-            println!(
-                "ArchExplorer mean trade-off vs {m}: {:+.2}% (paper: +7..+19%)",
-                100.0 * (ax / v.max(1e-12) - 1.0)
-            );
+        let ax = means
+            .iter()
+            .find(|(m, _)| m == "ArchExplorer")
+            .map(|&(_, v)| v)
+            .unwrap_or(0.0);
+        for (m, v) in &means {
+            if m != "ArchExplorer" {
+                println!(
+                    "ArchExplorer mean trade-off vs {m}: {:+.2}% (paper: +7..+19%)",
+                    100.0 * (ax / v.max(1e-12) - 1.0)
+                );
+            }
         }
-    }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        Ok(())
+    })
 }

@@ -10,10 +10,12 @@
 //!     [designs=N] [instrs=N] [seed=S]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::prelude::*;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 /// First two principal components via power iteration on the covariance.
 fn pca2(features: &[Vec<f64>]) -> Vec<(f64, f64)> {
@@ -66,97 +68,97 @@ fn pca2(features: &[Vec<f64>]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let designs = args.get_usize("designs", 200);
-    let instrs = args.get_usize("instrs", 20_000);
-    let seed = args.get_u64("seed", 1);
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let designs = get(kv, "designs", 200usize)?;
+        let instrs = get(kv, "instrs", 20_000usize)?;
+        let seed = get(kv, "seed", 1u64)?;
 
-    let suite: Vec<Workload> = spec06_suite()
-        .into_iter()
-        .filter(|w| w.id.0.contains("sjeng"))
-        .collect();
-    let cfg = CampaignConfig {
-        instrs_per_workload: instrs,
-        seed,
-        ..CampaignConfig::default()
-    };
-    let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
-    let space = DesignSpace::table4();
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut feats = Vec::with_capacity(designs);
-    let mut ppas = Vec::with_capacity(designs);
-    for _ in 0..designs {
-        let arch = space.random(&mut rng);
-        let Ok(e) = evaluator.evaluate(&arch) else {
-            continue;
+        let suite: Vec<Workload> = spec06_suite()
+            .into_iter()
+            .filter(|w| w.id.0.contains("sjeng"))
+            .collect();
+        let cfg = CampaignConfig {
+            instrs_per_workload: instrs,
+            seed,
+            ..CampaignConfig::default()
         };
-        feats.push(space.features(&arch));
-        ppas.push(e.ppa);
-    }
-    let xy = pca2(&feats);
+        let evaluator = build_evaluator_in(&suite, &cfg, TraceStore::global());
+        let space = DesignSpace::table4();
+        let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut t = Table::new(["x", "y", "perf", "power", "area"]);
-    for ((x, y), ppa) in xy.iter().zip(&ppas) {
-        t.row([
-            format!("{x:.4}"),
-            format!("{y:.4}"),
-            format!("{:.4}", ppa.ipc),
-            format!("{:.4}", ppa.power_w),
-            format!("{:.4}", ppa.area_mm2),
-        ]);
-    }
-    println!("Figure 1 data (PCA embedding of 458.sjeng-like PPA space):");
-    println!("{}", t.to_csv());
+        let mut feats = Vec::with_capacity(designs);
+        let mut ppas = Vec::with_capacity(designs);
+        for _ in 0..designs {
+            let arch = space.random(&mut rng);
+            let Ok(e) = evaluator.evaluate(&arch) else {
+                continue;
+            };
+            feats.push(space.features(&arch));
+            ppas.push(e.ppa);
+        }
+        let xy = pca2(&feats);
 
-    // Smoothness: how much of each metric a *linear* model over the
-    // parameters explains (R²). The paper's Fig. 1 observation: the area
-    // space is relatively flat because area is near-linear in the
-    // parameters, while performance and power are rugged (many extrema,
-    // non-smooth changes) — i.e. low linear R².
-    let linear_r2 = |f: &dyn Fn(&PpaResult) -> f64| -> f64 {
-        use archexplorer::dse::ml::linalg::{cholesky, cholesky_solve};
-        let d = feats[0].len() + 1;
-        let mut xtx = vec![0.0; d * d];
-        let mut xty = vec![0.0; d];
-        let ys: Vec<f64> = ppas.iter().map(f).collect();
-        for (row, &y) in feats.iter().zip(&ys) {
-            let mut x = Vec::with_capacity(d);
-            x.push(1.0);
-            x.extend_from_slice(row);
-            for a in 0..d {
-                for b in 0..d {
-                    xtx[a * d + b] += x[a] * x[b];
+        let mut t = Table::new(["x", "y", "perf", "power", "area"]);
+        for ((x, y), ppa) in xy.iter().zip(&ppas) {
+            t.row([
+                format!("{x:.4}"),
+                format!("{y:.4}"),
+                format!("{:.4}", ppa.ipc),
+                format!("{:.4}", ppa.power_w),
+                format!("{:.4}", ppa.area_mm2),
+            ]);
+        }
+        println!("Figure 1 data (PCA embedding of 458.sjeng-like PPA space):");
+        println!("{}", t.to_csv());
+
+        // Smoothness: how much of each metric a *linear* model over the
+        // parameters explains (R²). The paper's Fig. 1 observation: the area
+        // space is relatively flat because area is near-linear in the
+        // parameters, while performance and power are rugged (many extrema,
+        // non-smooth changes) — i.e. low linear R².
+        let linear_r2 = |f: &dyn Fn(&PpaResult) -> f64| -> f64 {
+            use archexplorer::dse::ml::linalg::{cholesky, cholesky_solve};
+            let d = feats[0].len() + 1;
+            let mut xtx = vec![0.0; d * d];
+            let mut xty = vec![0.0; d];
+            let ys: Vec<f64> = ppas.iter().map(f).collect();
+            for (row, &y) in feats.iter().zip(&ys) {
+                let mut x = Vec::with_capacity(d);
+                x.push(1.0);
+                x.extend_from_slice(row);
+                for a in 0..d {
+                    for b in 0..d {
+                        xtx[a * d + b] += x[a] * x[b];
+                    }
+                    xty[a] += x[a] * y;
                 }
-                xty[a] += x[a] * y;
             }
-        }
-        for a in 0..d {
-            xtx[a * d + a] += 1e-8; // ridge jitter
-        }
-        let l = cholesky(&xtx, d).expect("SPD with jitter");
-        let beta = cholesky_solve(&l, d, &xty);
-        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
-        let mut ss_res = 0.0;
-        let mut ss_tot = 0.0;
-        for (row, &y) in feats.iter().zip(&ys) {
-            let pred = beta[0] + row.iter().zip(&beta[1..]).map(|(a, b)| a * b).sum::<f64>();
-            ss_res += (y - pred) * (y - pred);
-            ss_tot += (y - mean) * (y - mean);
-        }
-        1.0 - ss_res / ss_tot.max(1e-12)
-    };
-    println!("linear-in-parameters R² of each metric (1.0 = perfectly flat/linear space):");
-    println!(
-        "  perf : {:.3} (rugged — low)",
-        linear_r2(&|p: &PpaResult| p.ipc)
-    );
-    println!("  power: {:.3}", linear_r2(&|p: &PpaResult| p.power_w));
-    println!(
-        "  area : {:.3} (flat — near-linear in parameters)",
-        linear_r2(&|p: &PpaResult| p.area_mm2)
-    );
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+            for a in 0..d {
+                xtx[a * d + a] += 1e-8; // ridge jitter
+            }
+            let l = cholesky(&xtx, d).expect("SPD with jitter");
+            let beta = cholesky_solve(&l, d, &xty);
+            let mean = ys.iter().sum::<f64>() / ys.len() as f64;
+            let mut ss_res = 0.0;
+            let mut ss_tot = 0.0;
+            for (row, &y) in feats.iter().zip(&ys) {
+                let pred = beta[0] + row.iter().zip(&beta[1..]).map(|(a, b)| a * b).sum::<f64>();
+                ss_res += (y - pred) * (y - pred);
+                ss_tot += (y - mean) * (y - mean);
+            }
+            1.0 - ss_res / ss_tot.max(1e-12)
+        };
+        println!("linear-in-parameters R² of each metric (1.0 = perfectly flat/linear space):");
+        println!(
+            "  perf : {:.3} (rugged — low)",
+            linear_r2(&|p: &PpaResult| p.ipc)
+        );
+        println!("  power: {:.3}", linear_r2(&|p: &PpaResult| p.power_w));
+        println!(
+            "  area : {:.3} (flat — near-linear in parameters)",
+            linear_r2(&|p: &PpaResult| p.area_mm2)
+        );
+        Ok(())
+    })
 }

@@ -11,75 +11,77 @@
 //! cargo run -p archx-bench --release --bin fig2_doubling [instrs=N]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::dse::space::ParamId;
 use archexplorer::prelude::*;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let instrs = args.get_usize("instrs", 30_000);
-    let cfg = CampaignConfig {
-        instrs_per_workload: instrs,
-        ..CampaignConfig::default()
-    };
-    let evaluator = build_evaluator_in(&spec17_suite(), &cfg, TraceStore::global());
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let instrs = get(kv, "instrs", 30_000usize)?;
+        let cfg = CampaignConfig {
+            instrs_per_workload: instrs,
+            ..CampaignConfig::default()
+        };
+        let evaluator = build_evaluator_in(&spec17_suite(), &cfg, TraceStore::global());
 
-    let baseline = MicroArch::baseline();
-    let base = evaluator.evaluate(&baseline).expect("evaluates").ppa;
-    println!(
-        "baseline: IPC {:.4}, power {:.4} W, area {:.4} mm², trade-off {:.4}\n",
-        base.ipc,
-        base.power_w,
-        base.area_mm2,
-        base.tradeoff()
-    );
+        let baseline = MicroArch::baseline();
+        let base = evaluator.evaluate(&baseline).expect("evaluates").ppa;
+        println!(
+            "baseline: IPC {:.4}, power {:.4} W, area {:.4} mm², trade-off {:.4}\n",
+            base.ipc,
+            base.power_w,
+            base.area_mm2,
+            base.tradeoff()
+        );
 
-    let doubled: &[(ParamId, &str)] = &[
-        (ParamId::Rob, "ROB x2"),
-        (ParamId::Iq, "IQ x2"),
-        (ParamId::Lq, "LQ x2"),
-        (ParamId::Sq, "SQ x2"),
-        (ParamId::IntRf, "IntRF x2"),
-        (ParamId::FpRf, "FpRF x2"),
-        (ParamId::IntMultDiv, "IntMultDiv x2"),
-        (ParamId::FpAlu, "FpALU x2"),
-        (ParamId::FpMultDiv, "FpMultDiv x2"),
-        (ParamId::FetchQueue, "FetchQueue x2"),
-        (ParamId::FetchBuffer, "FetchBuf x2"),
-        (ParamId::ICacheKb, "I$ x2"),
-        (ParamId::DCacheKb, "D$ x2"),
-        (ParamId::Width, "Width x2"),
-    ];
+        let doubled: &[(ParamId, &str)] = &[
+            (ParamId::Rob, "ROB x2"),
+            (ParamId::Iq, "IQ x2"),
+            (ParamId::Lq, "LQ x2"),
+            (ParamId::Sq, "SQ x2"),
+            (ParamId::IntRf, "IntRF x2"),
+            (ParamId::FpRf, "FpRF x2"),
+            (ParamId::IntMultDiv, "IntMultDiv x2"),
+            (ParamId::FpAlu, "FpALU x2"),
+            (ParamId::FpMultDiv, "FpMultDiv x2"),
+            (ParamId::FetchQueue, "FetchQueue x2"),
+            (ParamId::FetchBuffer, "FetchBuf x2"),
+            (ParamId::ICacheKb, "I$ x2"),
+            (ParamId::DCacheKb, "D$ x2"),
+            (ParamId::Width, "Width x2"),
+        ];
 
-    let mut t = Table::new([
-        "configuration",
-        "perf_%",
-        "power_%",
-        "area_%",
-        "ppa_tradeoff_%",
-    ]);
-    for &(param, label) in doubled {
-        let mut arch = baseline;
-        param.set(&mut arch, param.get(&baseline) * 2);
-        if arch.validate().is_err() {
-            continue;
-        }
-        let ppa = evaluator.evaluate(&arch).expect("evaluates").ppa;
-        t.row([
-            label.to_string(),
-            format!("{:.2}", 100.0 * ppa.ipc / base.ipc),
-            format!("{:.2}", 100.0 * ppa.power_w / base.power_w),
-            format!("{:.2}", 100.0 * ppa.area_mm2 / base.area_mm2),
-            format!("{:.2}", 100.0 * ppa.tradeoff() / base.tradeoff()),
+        let mut t = Table::new([
+            "configuration",
+            "perf_%",
+            "power_%",
+            "area_%",
+            "ppa_tradeoff_%",
         ]);
-    }
-    println!(
-        "Figure 2: each metric as % of baseline (100 = unchanged)\n{}",
-        t.to_text()
-    );
-    println!(
+        for &(param, label) in doubled {
+            let mut arch = baseline;
+            param.set(&mut arch, param.get(&baseline) * 2);
+            if arch.validate().is_err() {
+                continue;
+            }
+            let ppa = evaluator.evaluate(&arch).expect("evaluates").ppa;
+            t.row([
+                label.to_string(),
+                format!("{:.2}", 100.0 * ppa.ipc / base.ipc),
+                format!("{:.2}", 100.0 * ppa.power_w / base.power_w),
+                format!("{:.2}", 100.0 * ppa.area_mm2 / base.area_mm2),
+                format!("{:.2}", 100.0 * ppa.tradeoff() / base.tradeoff()),
+            ]);
+        }
+        println!(
+            "Figure 2: each metric as % of baseline (100 = unchanged)\n{}",
+            t.to_text()
+        );
+        println!(
         "expected shape: IntRF x2 lifts perf & trade-off; FpALU/FpMultDiv x2 only add power/area."
     );
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        Ok(())
+    })
 }

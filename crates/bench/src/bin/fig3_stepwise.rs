@@ -10,11 +10,13 @@
 //! cargo run -p archx-bench --release --bin fig3_stepwise [instrs=N] [steps=N]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::dse::space::{DesignSpace, ParamId};
 use archexplorer::prelude::*;
 use archexplorer::sim::trace::ResourceKind;
 use archexplorer::sim::OooCore;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
 /// Per-resource stall necessity, peak-occupancy fraction, and suite PPA.
 fn necessity(
@@ -77,82 +79,82 @@ fn param_of(kind: ResourceKind) -> ParamId {
     }
 }
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let instrs = args.get_usize("instrs", 20_000);
-    let steps = args.get_usize("steps", 6);
-    let suite = spec17_suite();
-    let space = DesignSpace::table4();
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let instrs = get(kv, "instrs", 20_000usize)?;
+        let steps = get(kv, "steps", 6usize)?;
+        let suite = spec17_suite();
+        let space = DesignSpace::table4();
 
-    let mut arch = space.snap(&MicroArch::baseline());
-    let (_, _, base) = necessity(&arch, &suite, instrs);
+        let mut arch = space.snap(&MicroArch::baseline());
+        let (_, _, base) = necessity(&arch, &suite, instrs);
 
-    let mut t = Table::new(["step", "perf_%", "power_%", "area_%", "ppa_%", "action"]);
-    t.row([
-        "0".to_string(),
-        "100.00".to_string(),
-        "100.00".to_string(),
-        "100.00".to_string(),
-        "100.00".to_string(),
-        "baseline".to_string(),
-    ]);
-    let mut frozen: Vec<ParamId> = Vec::new();
-    let mut prev_tradeoff = base.tradeoff();
-    let mut prev_arch = arch;
-    for step in 1..=steps {
-        let (nec, occ, _) = necessity(&arch, &suite, instrs);
-        // Grow the most necessary resource; shrink resources that neither
-        // stall anyone nor come close to full occupancy (the "reduce
-        // redundant ones" half of the paper's heuristic).
-        let mut action = String::new();
-        let mut order: Vec<usize> = (0..6).collect();
-        order.sort_by(|&a, &b| nec[b].partial_cmp(&nec[a]).expect("finite"));
-        let mut top = 6;
-        for &i in &order {
-            let p = param_of(ResourceKind::ALL[i]);
-            if nec[i] > 0.0 && !frozen.contains(&p) {
-                if let Some(v) = space.next_larger(p, p.get(&arch)) {
-                    p.set(&mut arch, v);
-                    action.push_str(&format!("+{p} "));
-                    top = i;
-                    break;
-                }
-            }
-        }
-        for i in 0..6 {
-            if i != top && nec[i] < 1e-6 && occ[i] < 0.55 {
-                let p = param_of(ResourceKind::ALL[i]);
-                if let Some(v) = space.next_smaller(p, p.get(&arch)) {
-                    p.set(&mut arch, v);
-                    action.push_str(&format!("-{p} "));
-                }
-            }
-        }
-        let (_, _, ppa) = necessity(&arch, &suite, instrs);
-        // The architect watches the PPA: an increase that did not pay for
-        // itself is reverted and not retried.
-        if ppa.tradeoff() < prev_tradeoff && top < 6 {
-            frozen.push(param_of(ResourceKind::ALL[top]));
-            arch = prev_arch;
-            action.push_str("(reverted)");
-        } else {
-            prev_tradeoff = ppa.tradeoff();
-            prev_arch = arch;
-        }
+        let mut t = Table::new(["step", "perf_%", "power_%", "area_%", "ppa_%", "action"]);
         t.row([
-            step.to_string(),
-            format!("{:.2}", 100.0 * ppa.ipc / base.ipc),
-            format!("{:.2}", 100.0 * ppa.power_w / base.power_w),
-            format!("{:.2}", 100.0 * ppa.area_mm2 / base.area_mm2),
-            format!("{:.2}", 100.0 * ppa.tradeoff() / base.tradeoff()),
-            action.trim().to_string(),
+            "0".to_string(),
+            "100.00".to_string(),
+            "100.00".to_string(),
+            "100.00".to_string(),
+            "100.00".to_string(),
+            "baseline".to_string(),
         ]);
-    }
-    println!(
-        "Figure 3: stepwise necessity-driven search (six simulations)\n{}",
-        t.to_text()
-    );
-    println!("expected shape: power/area drop as idle queues shrink; the trade-off climbs well above 100%.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        let mut frozen: Vec<ParamId> = Vec::new();
+        let mut prev_tradeoff = base.tradeoff();
+        let mut prev_arch = arch;
+        for step in 1..=steps {
+            let (nec, occ, _) = necessity(&arch, &suite, instrs);
+            // Grow the most necessary resource; shrink resources that neither
+            // stall anyone nor come close to full occupancy (the "reduce
+            // redundant ones" half of the paper's heuristic).
+            let mut action = String::new();
+            let mut order: Vec<usize> = (0..6).collect();
+            order.sort_by(|&a, &b| nec[b].partial_cmp(&nec[a]).expect("finite"));
+            let mut top = 6;
+            for &i in &order {
+                let p = param_of(ResourceKind::ALL[i]);
+                if nec[i] > 0.0 && !frozen.contains(&p) {
+                    if let Some(v) = space.next_larger(p, p.get(&arch)) {
+                        p.set(&mut arch, v);
+                        action.push_str(&format!("+{p} "));
+                        top = i;
+                        break;
+                    }
+                }
+            }
+            for i in 0..6 {
+                if i != top && nec[i] < 1e-6 && occ[i] < 0.55 {
+                    let p = param_of(ResourceKind::ALL[i]);
+                    if let Some(v) = space.next_smaller(p, p.get(&arch)) {
+                        p.set(&mut arch, v);
+                        action.push_str(&format!("-{p} "));
+                    }
+                }
+            }
+            let (_, _, ppa) = necessity(&arch, &suite, instrs);
+            // The architect watches the PPA: an increase that did not pay for
+            // itself is reverted and not retried.
+            if ppa.tradeoff() < prev_tradeoff && top < 6 {
+                frozen.push(param_of(ResourceKind::ALL[top]));
+                arch = prev_arch;
+                action.push_str("(reverted)");
+            } else {
+                prev_tradeoff = ppa.tradeoff();
+                prev_arch = arch;
+            }
+            t.row([
+                step.to_string(),
+                format!("{:.2}", 100.0 * ppa.ipc / base.ipc),
+                format!("{:.2}", 100.0 * ppa.power_w / base.power_w),
+                format!("{:.2}", 100.0 * ppa.area_mm2 / base.area_mm2),
+                format!("{:.2}", 100.0 * ppa.tradeoff() / base.tradeoff()),
+                action.trim().to_string(),
+            ]);
+        }
+        println!(
+            "Figure 3: stepwise necessity-driven search (six simulations)\n{}",
+            t.to_text()
+        );
+        println!("expected shape: power/area drop as idle queues shrink; the trade-off climbs well above 100%.");
+        Ok(())
+    })
 }

@@ -13,91 +13,93 @@
 //! cargo run -p archx-bench --release --bin fig5_deg_errors [instrs=N]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::deg::prelude::*;
 use archexplorer::deg::{bottleneck, CalipersModel};
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let instrs = args.get_usize("instrs", 30_000);
-    let suite = spec06_suite();
-    let arch = MicroArch::baseline();
-    let core = OooCore::new(arch);
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let instrs = get(kv, "instrs", 30_000usize)?;
+        let suite = spec06_suite();
+        let arch = MicroArch::baseline();
+        let core = OooCore::new(arch);
 
-    // --- Error 1: critical-path length accuracy, per workload ---
-    let mut t = Table::new([
-        "workload",
-        "actual_cycles",
-        "static_estimate",
-        "static_err_%",
-        "new_deg",
-        "new_err_%",
-    ]);
-    let mut worst: (f64, String) = (0.0, String::new());
-    for w in &suite {
-        let r = core.run(&w.generate(instrs, 1)).expect("simulates");
-        let (est, _) = CalipersModel::from_arch(&arch).analyze(&r);
-        let mut deg = build_deg(&r);
-        let path = critical_path(&mut deg);
-        let static_err = 100.0 * (est as f64 / r.trace.cycles as f64 - 1.0);
-        let new_err = 100.0 * (path.total_delay as f64 / r.trace.cycles as f64 - 1.0);
-        if static_err.abs() > worst.0.abs() {
-            worst = (static_err, w.id.0.to_string());
-        }
-        t.row([
-            w.id.0.to_string(),
-            r.trace.cycles.to_string(),
-            est.to_string(),
-            format!("{static_err:+.2}"),
-            path.total_delay.to_string(),
-            format!("{new_err:+.2}"),
+        // --- Error 1: critical-path length accuracy, per workload ---
+        let mut t = Table::new([
+            "workload",
+            "actual_cycles",
+            "static_estimate",
+            "static_err_%",
+            "new_deg",
+            "new_err_%",
         ]);
-    }
-    println!(
-        "Figure 5(a): critical-path length vs simulated runtime\n{}",
-        t.to_text()
-    );
-    println!(
-        "worst static-formulation error: {:+.2}% on {} (paper reports -25.71% on 444.namd);",
-        worst.0, worst.1
-    );
-    println!("the new formulation is exact (0.00%) on every workload.\n");
-
-    // --- Error 2: overlapped port-contention double counting ---
-    // hmmer-like: dense, highly parallel memory traffic through one port.
-    let hmmer = suite
-        .iter()
-        .find(|w| w.id.0.contains("hmmer"))
-        .expect("suite contains hmmer");
-    let r = core.run(&hmmer.generate(instrs, 1)).expect("simulates");
-    let (est, static_rep) = CalipersModel::from_arch(&arch).analyze(&r);
-    let mut deg = build_deg(&r);
-    let path = archexplorer::deg::critical::critical_path(&mut deg);
-    let new_rep = bottleneck::analyze(&deg, &path);
-
-    let static_port = static_rep.contribution(BottleneckSource::RdWrPort) * est as f64;
-    let new_port = new_rep.contribution(BottleneckSource::RdWrPort) * new_rep.length as f64;
-    println!("Figure 5(b): read/write-port contribution on 456.hmmer-like");
-    println!(
-        "  static formulation : {:.0} cycles ({:.2}% of its path)",
-        static_port,
-        100.0 * static_rep.contribution(BottleneckSource::RdWrPort)
-    );
-    println!(
-        "  new formulation    : {:.0} cycles ({:.2}% of the runtime)",
-        new_port,
-        100.0 * new_rep.contribution(BottleneckSource::RdWrPort)
-    );
-    if new_port > 0.0 {
+        let mut worst: (f64, String) = (0.0, String::new());
+        for w in &suite {
+            let r = core.run(&w.generate(instrs, 1)).expect("simulates");
+            let (est, _) = CalipersModel::from_arch(&arch).analyze(&r);
+            let mut deg = build_deg(&r);
+            let path = critical_path(&mut deg);
+            let static_err = 100.0 * (est as f64 / r.trace.cycles as f64 - 1.0);
+            let new_err = 100.0 * (path.total_delay as f64 / r.trace.cycles as f64 - 1.0);
+            if static_err.abs() > worst.0.abs() {
+                worst = (static_err, w.id.0.to_string());
+            }
+            t.row([
+                w.id.0.to_string(),
+                r.trace.cycles.to_string(),
+                est.to_string(),
+                format!("{static_err:+.2}"),
+                path.total_delay.to_string(),
+                format!("{new_err:+.2}"),
+            ]);
+        }
         println!(
-            "  static over-estimate: {:+.1}% (paper reports +125%)",
-            100.0 * (static_port / new_port - 1.0)
+            "Figure 5(a): critical-path length vs simulated runtime\n{}",
+            t.to_text()
         );
-    } else {
-        println!("  static over-estimate: all {static_port:.0} attributed cycles are spurious (new DEG sees full overlap)");
-    }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        println!(
+            "worst static-formulation error: {:+.2}% on {} (paper reports -25.71% on 444.namd);",
+            worst.0, worst.1
+        );
+        println!("the new formulation is exact (0.00%) on every workload.\n");
+
+        // --- Error 2: overlapped port-contention double counting ---
+        // hmmer-like: dense, highly parallel memory traffic through one port.
+        let hmmer = suite
+            .iter()
+            .find(|w| w.id.0.contains("hmmer"))
+            .expect("suite contains hmmer");
+        let r = core.run(&hmmer.generate(instrs, 1)).expect("simulates");
+        let (est, static_rep) = CalipersModel::from_arch(&arch).analyze(&r);
+        let mut deg = build_deg(&r);
+        let path = archexplorer::deg::critical::critical_path(&mut deg);
+        let new_rep = bottleneck::analyze(&deg, &path);
+
+        let static_port = static_rep.contribution(BottleneckSource::RdWrPort) * est as f64;
+        let new_port = new_rep.contribution(BottleneckSource::RdWrPort) * new_rep.length as f64;
+        println!("Figure 5(b): read/write-port contribution on 456.hmmer-like");
+        println!(
+            "  static formulation : {:.0} cycles ({:.2}% of its path)",
+            static_port,
+            100.0 * static_rep.contribution(BottleneckSource::RdWrPort)
+        );
+        println!(
+            "  new formulation    : {:.0} cycles ({:.2}% of the runtime)",
+            new_port,
+            100.0 * new_rep.contribution(BottleneckSource::RdWrPort)
+        );
+        if new_port > 0.0 {
+            println!(
+                "  static over-estimate: {:+.1}% (paper reports +125%)",
+                100.0 * (static_port / new_port - 1.0)
+            );
+        } else {
+            println!("  static over-estimate: all {static_port:.0} attributed cycles are spurious (new DEG sees full overlap)");
+        }
+        Ok(())
+    })
 }

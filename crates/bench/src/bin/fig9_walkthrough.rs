@@ -6,10 +6,12 @@
 //! cargo run -p archx-bench --release --bin fig9_walkthrough
 //! ```
 
+use archexplorer::cliopt;
 use archexplorer::deg::bottleneck;
 use archexplorer::deg::prelude::*;
 use archexplorer::sim::isa::{Instruction, OpClass, Reg};
 use archexplorer::sim::{MicroArch, OooCore};
+use std::process::ExitCode;
 
 /// A snippet in the spirit of Figure 9: integer ops, loads with misses,
 /// dependent arithmetic and a conditional branch.
@@ -60,69 +62,72 @@ fn snippet() -> Vec<Instruction> {
     ]
 }
 
-fn main() {
-    let mut arch = MicroArch::tiny();
-    arch.width = 2;
-    let result = OooCore::new(arch).run(&snippet()).expect("simulates");
+fn main() -> ExitCode {
+    cliopt::run(|_, _| {
+        let mut arch = MicroArch::tiny();
+        arch.width = 2;
+        let result = OooCore::new(arch).run(&snippet()).expect("simulates");
 
-    println!("microexecution (cycles):");
-    println!(
-        "{:>4} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3}",
-        "idx", "F1", "F2", "F", "DC", "R", "DP", "I", "M", "P", "C"
-    );
-    for (i, ev) in result.trace.events.iter().enumerate() {
+        println!("microexecution (cycles):");
         println!(
-            "{i:>4} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3}",
-            ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c
+            "{:>4} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3}",
+            "idx", "F1", "F2", "F", "DC", "R", "DP", "I", "M", "P", "C"
         );
-    }
-
-    let base = build_deg(&result);
-    let base_edges = base.edge_count();
-    let mut deg = induce(base);
-    println!(
-        "\nnew DEG: {} vertices, {} edges; induced DEG adds {} virtual edges",
-        deg.node_count(),
-        base_edges,
-        deg.edge_count() - base_edges
-    );
-
-    println!("\nskewed (inter-instruction) edges:");
-    for e in deg.edges().iter().filter(|e| e.kind.is_skewed()) {
-        let (fi, fs) = deg.locate(e.from);
-        let (ti, ts) = deg.locate(e.to);
-        println!(
-            "  {fs}(I{fi})@{} -> {ts}(I{ti})@{}  [{:?}, interval {}]",
-            deg.time(e.from),
-            deg.time(e.to),
-            e.kind,
-            deg.interval(e)
-        );
-    }
-
-    let path = archexplorer::deg::critical::critical_path(&mut deg);
-    println!(
-        "\ncritical path: {} edges, cost {}, length {} (simulated runtime {})",
-        path.len(),
-        path.cost,
-        path.total_delay,
-        result.trace.cycles
-    );
-    assert_eq!(path.total_delay, result.trace.cycles, "exactness");
-    for e in &path.edges {
-        let (fi, fs) = deg.locate(e.from);
-        let (ti, ts) = deg.locate(e.to);
-        if deg.interval(e) > 0 {
+        for (i, ev) in result.trace.events.iter().enumerate() {
             println!(
-                "  {fs}(I{fi})@{} -> {ts}(I{ti})@{}  [{:?}, {}]",
+                "{i:>4} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3} {:>3}",
+                ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c
+            );
+        }
+
+        let base = build_deg(&result);
+        let base_edges = base.edge_count();
+        let mut deg = induce(base);
+        println!(
+            "\nnew DEG: {} vertices, {} edges; induced DEG adds {} virtual edges",
+            deg.node_count(),
+            base_edges,
+            deg.edge_count() - base_edges
+        );
+
+        println!("\nskewed (inter-instruction) edges:");
+        for e in deg.edges().iter().filter(|e| e.kind.is_skewed()) {
+            let (fi, fs) = deg.locate(e.from);
+            let (ti, ts) = deg.locate(e.to);
+            println!(
+                "  {fs}(I{fi})@{} -> {ts}(I{ti})@{}  [{:?}, interval {}]",
                 deg.time(e.from),
                 deg.time(e.to),
                 e.kind,
                 deg.interval(e)
             );
         }
-    }
 
-    let report = bottleneck::analyze(&deg, &path);
-    println!("\n{}", report.render());
+        let path = archexplorer::deg::critical::critical_path(&mut deg);
+        println!(
+            "\ncritical path: {} edges, cost {}, length {} (simulated runtime {})",
+            path.len(),
+            path.cost,
+            path.total_delay,
+            result.trace.cycles
+        );
+        assert_eq!(path.total_delay, result.trace.cycles, "exactness");
+        for e in &path.edges {
+            let (fi, fs) = deg.locate(e.from);
+            let (ti, ts) = deg.locate(e.to);
+            if deg.interval(e) > 0 {
+                println!(
+                    "  {fs}(I{fi})@{} -> {ts}(I{ti})@{}  [{:?}, {}]",
+                    deg.time(e.from),
+                    deg.time(e.to),
+                    e.kind,
+                    deg.interval(e)
+                );
+            }
+        }
+
+        let report = bottleneck::analyze(&deg, &path);
+        println!("\n{}", report.render());
+        Ok(())
+    })
 }

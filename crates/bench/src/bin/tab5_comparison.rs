@@ -17,88 +17,82 @@
 //! governor (`threads=` caps the total); the table is identical to
 //! `jobs=1`.
 
-use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig};
+use archexplorer::cliopt::{self, get};
+use archexplorer::dse::campaign::CampaignRunner;
 use archexplorer::prelude::*;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 360),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
-    let limit = args.get_usize("workloads", usize::MAX);
-    // Target = this fraction of the best final hypervolume across methods.
-    let target_frac: f64 = args.get_f64("target_frac", 0.95);
-    let jobs = args.get_usize("jobs", 1).max(1);
-    let parallel = ParallelConfig {
-        jobs,
-        total_threads: args
-            .get_usize("threads", jobs.max(archexplorer::dse::default_threads()))
-            .max(1),
-    };
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let cfg = CampaignConfig {
+            sim_budget: get(kv, "budget", 360u64)?,
+            instrs_per_workload: get(kv, "instrs", 20_000usize)?,
+            seed: get(kv, "seed", 1u64)?,
+            ..CampaignConfig::default()
+        };
+        let limit = get(kv, "workloads", usize::MAX)?;
+        // Target = this fraction of the best final hypervolume across methods.
+        let target_frac: f64 = get(kv, "target_frac", 0.95)?;
+        let parallel = cliopt::parallel(kv)?;
 
-    for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
-        let suite = truncate_suite(suite, limit.max(1));
-        let methods = [
-            Method::ArchRanker,
-            Method::AdaBoost,
-            Method::BoomExplorer,
-            Method::ArchExplorer,
-        ];
-        eprintln!(
-            "[{name}] running {} methods x {} sims ({} jobs)...",
-            methods.len(),
-            cfg.sim_budget,
-            jobs
-        );
-        let campaign = CampaignRunner::new()
-            .parallel(parallel)
-            .run(&methods, &DesignSpace::table4(), &suite, &cfg)
-            .expect("infallible without per-run setup hooks");
+        for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
+            let suite = truncate_suite(suite, limit.max(1));
+            let methods = [
+                Method::ArchRanker,
+                Method::AdaBoost,
+                Method::BoomExplorer,
+                Method::ArchExplorer,
+            ];
+            eprintln!(
+                "[{name}] running {} methods x {} sims ({} jobs)...",
+                methods.len(),
+                cfg.sim_budget,
+                parallel.jobs
+            );
+            let campaign = CampaignRunner::new()
+                .parallel(parallel)
+                .run(&methods, &DesignSpace::table4(), &suite, &cfg)
+                .expect("infallible without per-run setup hooks");
 
-        let r = RefPoint::default();
-        let step = (cfg.sim_budget / 60).max(1);
-        // Target hypervolume: a fraction of the best final value, so every
-        // run has a chance to reach it (the paper picks the y where curves
-        // begin to converge).
-        let best_final = campaign
-            .logs
-            .iter()
-            .filter_map(|l| l.hypervolume_curve(&r, step).last().map(|&(_, hv)| hv))
-            .fold(0.0f64, f64::max);
-        let target = target_frac * best_final;
-        let budget_x = cfg.sim_budget * 2 / 3;
+            let r = RefPoint::default();
+            let step = (cfg.sim_budget / 60).max(1);
+            // Target hypervolume: a fraction of the best final value, so every
+            // run has a chance to reach it (the paper picks the y where curves
+            // begin to converge).
+            let best_final = campaign
+                .logs
+                .iter()
+                .filter_map(|l| l.hypervolume_curve(&r, step).last().map(|&(_, hv)| hv))
+                .fold(0.0f64, f64::max);
+            let target = target_frac * best_final;
+            let budget_x = cfg.sim_budget * 2 / 3;
 
-        let ranker_sims = campaign
-            .sims_to_reach("ArchRanker", &r, target, step)
-            .unwrap_or(cfg.sim_budget);
-        let ranker_hv = campaign.hv_at("ArchRanker", &r, budget_x).unwrap_or(0.0);
+            let ranker_sims = campaign
+                .sims_to_reach("ArchRanker", &r, target, step)
+                .unwrap_or(cfg.sim_budget);
+            let ranker_hv = campaign.hv_at("ArchRanker", &r, budget_x).unwrap_or(0.0);
 
-        let mut t = Table::new(["method", "sims@target", "ratio", "hv@budget", "ratio"]);
-        for m in ["ArchRanker", "AdaBoost", "BOOM-Explorer", "ArchExplorer"] {
-            let sims = campaign.sims_to_reach(m, &r, target, step);
-            let hv = campaign.hv_at(m, &r, budget_x).unwrap_or(0.0);
-            t.row([
-                m.to_string(),
-                sims.map_or("never".to_string(), |s| s.to_string()),
-                sims.map_or("-".to_string(), |s| {
-                    format!("{:.4}", s as f64 / ranker_sims as f64)
-                }),
-                format!("{hv:.4}"),
-                format!("{:.4}", hv / ranker_hv.max(1e-12)),
-            ]);
-        }
-        println!(
+            let mut t = Table::new(["method", "sims@target", "ratio", "hv@budget", "ratio"]);
+            for m in ["ArchRanker", "AdaBoost", "BOOM-Explorer", "ArchExplorer"] {
+                let sims = campaign.sims_to_reach(m, &r, target, step);
+                let hv = campaign.hv_at(m, &r, budget_x).unwrap_or(0.0);
+                t.row([
+                    m.to_string(),
+                    sims.map_or("never".to_string(), |s| s.to_string()),
+                    sims.map_or("-".to_string(), |s| {
+                        format!("{:.4}", s as f64 / ranker_sims as f64)
+                    }),
+                    format!("{hv:.4}"),
+                    format!("{:.4}", hv / ranker_hv.max(1e-12)),
+                ]);
+            }
+            println!(
             "\nTable 5 [{name}]: target HV = {target:.4} ({}% of best), fixed budget = {budget_x} sims",
             (target_frac * 100.0) as u32
         );
-        println!("{}", t.to_text());
-    }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+            println!("{}", t.to_text());
+        }
+        Ok(())
+    })
 }

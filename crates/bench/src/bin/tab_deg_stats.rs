@@ -13,76 +13,82 @@
 //! cargo run -p archx-bench --release --bin tab_deg_stats [instrs=N]
 //! ```
 
+use archexplorer::cliopt::{self, get};
 use archexplorer::deg::prelude::*;
 use archexplorer::deg::CalipersModel;
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;
-use archx_bench::{Args, Table};
+use archx_bench::Table;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
-    let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
-    let instrs = args.get_usize("instrs", 30_000);
-    let suite = spec17_suite();
-    let arch = MicroArch::baseline();
-    let core = OooCore::new(arch);
+fn main() -> ExitCode {
+    cliopt::run(|_, kv| {
+        let instrs = get(kv, "instrs", 30_000usize)?;
+        let suite = spec17_suite();
+        let arch = MicroArch::baseline();
+        let core = OooCore::new(arch);
 
-    let mut t = Table::new([
-        "workload",
-        "deg_vertices",
-        "deg_edges",
-        "calipers_vertices",
-        "calipers_edges",
-        "sim_ms",
-        "analysis_ms",
-    ]);
-    let (mut v_sum, mut e_sum, mut cv_sum, mut ce_sum) = (0f64, 0f64, 0f64, 0f64);
-    let (mut sim_ms_sum, mut ana_ms_sum) = (0f64, 0f64);
-    for w in &suite {
-        let trace = w.generate(instrs, 1);
-        let t0 = Instant::now();
-        let result = core.run(&trace).expect("simulates");
-        let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t1 = Instant::now();
-        let mut deg = induce(build_deg(&result));
-        let path = archexplorer::deg::critical::critical_path(&mut deg);
-        let ana_ms = t1.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(path.total_delay, result.trace.cycles);
-
-        let (_, _, cv, ce) = CalipersModel::from_arch(&arch).analyze_with_stats(&result);
-        v_sum += deg.node_count() as f64;
-        e_sum += deg.edge_count() as f64;
-        cv_sum += cv as f64;
-        ce_sum += ce as f64;
-        sim_ms_sum += sim_ms;
-        ana_ms_sum += ana_ms;
-        t.row([
-            w.id.0.to_string(),
-            deg.node_count().to_string(),
-            deg.edge_count().to_string(),
-            cv.to_string(),
-            ce.to_string(),
-            format!("{sim_ms:.1}"),
-            format!("{ana_ms:.1}"),
+        let mut t = Table::new([
+            "workload",
+            "deg_vertices",
+            "deg_edges",
+            "calipers_vertices",
+            "calipers_edges",
+            "sim_ms",
+            "analysis_ms",
         ]);
-    }
-    println!(
-        "Footnote-5 graph statistics ({instrs} instrs per workload)\n{}",
-        t.to_text()
-    );
-    println!(
-        "induced DEG vs Calipers: {:+.2}% vertices, {:+.2}% edges per vertex",
-        100.0 * (v_sum / cv_sum - 1.0),
-        100.0 * ((e_sum / v_sum) / (ce_sum / cv_sum) - 1.0)
-    );
-    println!(
-        "analysis runtime: {:.2}% of this simulator's runtime (paper: 2.24% of gem5's)",
-        100.0 * ana_ms_sum / sim_ms_sum
-    );
-    println!("note: gem5 runs ~2-3 orders of magnitude slower than this cycle-level model, so the");
-    println!("      same absolute analysis cost is negligible against the paper's simulations.");
-    println!("(paper: +39.59% vertices, -51.72% edges; direction should match)");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
+        let (mut v_sum, mut e_sum, mut cv_sum, mut ce_sum) = (0f64, 0f64, 0f64, 0f64);
+        let (mut sim_ms_sum, mut ana_ms_sum) = (0f64, 0f64);
+        for w in &suite {
+            let trace = w.generate(instrs, 1);
+            let t0 = Instant::now();
+            let result = core.run(&trace).expect("simulates");
+            let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+            let t1 = Instant::now();
+            let mut deg = induce(build_deg(&result));
+            let path = archexplorer::deg::critical::critical_path(&mut deg);
+            let ana_ms = t1.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(path.total_delay, result.trace.cycles);
+
+            let (_, _, cv, ce) = CalipersModel::from_arch(&arch).analyze_with_stats(&result);
+            v_sum += deg.node_count() as f64;
+            e_sum += deg.edge_count() as f64;
+            cv_sum += cv as f64;
+            ce_sum += ce as f64;
+            sim_ms_sum += sim_ms;
+            ana_ms_sum += ana_ms;
+            t.row([
+                w.id.0.to_string(),
+                deg.node_count().to_string(),
+                deg.edge_count().to_string(),
+                cv.to_string(),
+                ce.to_string(),
+                format!("{sim_ms:.1}"),
+                format!("{ana_ms:.1}"),
+            ]);
+        }
+        println!(
+            "Footnote-5 graph statistics ({instrs} instrs per workload)\n{}",
+            t.to_text()
+        );
+        println!(
+            "induced DEG vs Calipers: {:+.2}% vertices, {:+.2}% edges per vertex",
+            100.0 * (v_sum / cv_sum - 1.0),
+            100.0 * ((e_sum / v_sum) / (ce_sum / cv_sum) - 1.0)
+        );
+        println!(
+            "analysis runtime: {:.2}% of this simulator's runtime (paper: 2.24% of gem5's)",
+            100.0 * ana_ms_sum / sim_ms_sum
+        );
+        println!(
+            "note: gem5 runs ~2-3 orders of magnitude slower than this cycle-level model, so the"
+        );
+        println!(
+            "      same absolute analysis cost is negligible against the paper's simulations."
+        );
+        println!("(paper: +39.59% vertices, -51.72% edges; direction should match)");
+        Ok(())
+    })
 }

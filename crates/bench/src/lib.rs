@@ -1,9 +1,9 @@
 //! Shared helpers for the ArchExplorer benchmark/experiment harnesses.
 //! The per-figure binaries live in `src/bin/`; Criterion benches in
-//! `benches/`.
+//! `benches/`. Every binary's `main` is one call to
+//! [`archexplorer::cliopt::run`], so they all take the `archx` CLI's
+//! `key=value` arguments, GNU flags and `--telemetry json|pretty|off`.
 
-pub mod args;
 pub mod emit;
 
-pub use args::Args;
 pub use emit::Table;

@@ -27,19 +27,19 @@
 //! run's workload workers), with results printed in deterministic
 //! (method, seed) order whatever the completion order. `--journal DIR`
 //! gives every run its own journal file inside DIR
-//! (`<method>-seed<seed>.jsonl`), and `--resume DIR` warm-starts each run
+//! (`<method>-seed<seed>.jsonl`), and `--resume DIR` replays each run
 //! from its own file — safe under concurrency because no two runs share a
 //! journal.
 //!
 //! `explore` campaigns are crash-safe: `--journal PATH` appends every
 //! evaluation (design, per-workload PPA, analysis, outcome) to a JSONL
-//! write-ahead journal, and `--resume PATH` warm-starts the evaluator from
-//! it — journaled designs are replayed from the journal without
-//! re-simulation and the simulation budget picks up where the killed run
-//! left off. `--cycle-budget N` bounds each simulation; designs that
-//! deadlock, exceed the budget, or panic are retried once on a halved
-//! instruction window, then quarantined (reported, never Pareto-eligible)
-//! while the search continues.
+//! write-ahead journal, and `--resume PATH` replays it — each journaled
+//! design is served from the journal instead of re-simulated, charging
+//! the simulations it cost, so the resumed run prints what the
+//! uninterrupted one would have. `--cycle-budget N` bounds each
+//! simulation; designs that deadlock, exceed the budget, or panic are
+//! retried once on a halved instruction window, then quarantined
+//! (reported, never Pareto-eligible) while the search continues.
 //!
 //! `verify` sweeps seeded-random designs × workloads × windows through the
 //! simulator with per-cycle invariant checking (`CheckedCore`), the DEG
@@ -51,8 +51,7 @@
 //! design for repro runs, and the exit status is nonzero on any violation.
 
 use archexplorer::cliopt::{
-    extract_telemetry, get, get_opt, normalize_flags, parse_kv, parse_method, parse_methods,
-    parse_seeds, parse_suite, TelemetryMode,
+    self, get, get_opt, parse_method, parse_methods, parse_seeds, parse_suite,
 };
 use archexplorer::deg::prelude::*;
 use archexplorer::dse::journal::Journal;
@@ -135,10 +134,9 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
         sim_budget: get(kv, "budget", 240)?,
         instrs_per_workload: get(kv, "instrs", 20_000)?,
         seed: get(kv, "seed", 1)?,
-        trace_seed: None,
-        threads: archexplorer::dse::default_threads(),
         cycle_budget: get_opt(kv, "cycle_budget")?,
         max_retries: get(kv, "retries", 1u32)?,
+        ..CampaignConfig::default()
     };
     eprintln!(
         "exploring with {method} for {} simulations ({} workloads x {} instrs)...",
@@ -260,24 +258,15 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         None => vec![get(kv, "seed", 1u64)?],
     };
     let suite = truncate_suite(workloads_of(kv)?, get(kv, "workloads", usize::MAX)?.max(1));
-    let jobs = get(kv, "jobs", 1usize)?.max(1);
-    let parallel = ParallelConfig {
-        jobs,
-        total_threads: get(
-            kv,
-            "threads",
-            jobs.max(archexplorer::dse::default_threads()),
-        )?
-        .max(1),
-    };
+    let parallel = cliopt::parallel(kv)?;
     let cfg = CampaignConfig {
         sim_budget: get(kv, "budget", 240)?,
         instrs_per_workload: get(kv, "instrs", 20_000)?,
         seed: seeds[0],
         trace_seed: get_opt(kv, "trace_seed")?,
-        threads: archexplorer::dse::default_threads(),
         cycle_budget: get_opt(kv, "cycle_budget")?,
         max_retries: get(kv, "retries", 1u32)?,
+        ..CampaignConfig::default()
     };
     let specs: Vec<RunSpec> = methods
         .iter()
@@ -516,52 +505,19 @@ fn cmd_space() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, mode) = match extract_telemetry(&raw) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let args = match normalize_flags(&args) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if mode == TelemetryMode::Off {
-        telemetry::global().set_enabled(false);
-    }
-    let Some(cmd) = args.first() else {
-        eprintln!(
+    cliopt::run(|args, kv| match args.first().map(String::as_str) {
+        Some("analyze") => cmd_analyze(kv),
+        Some("explore") => cmd_explore(kv),
+        Some("campaign") => cmd_campaign(kv),
+        Some("export") => cmd_export(kv),
+        Some("import") => cmd_import(kv),
+        Some("verify") => cmd_verify(kv),
+        Some("space") => cmd_space(),
+        Some(other) => Err(format!("unknown command `{other}`")),
+        None => Err(
             "usage: archx <analyze|explore|campaign|export|import|verify|space> \
              [key=value ...] [--telemetry json|pretty|off]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let kv = parse_kv(&args[1..]);
-    let result = match cmd.as_str() {
-        "analyze" => cmd_analyze(&kv),
-        "explore" => cmd_explore(&kv),
-        "campaign" => cmd_campaign(&kv),
-        "export" => cmd_export(&kv),
-        "import" => cmd_import(&kv),
-        "verify" => cmd_verify(&kv),
-        "space" => cmd_space(),
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match mode {
-        TelemetryMode::Off => {}
-        TelemetryMode::Json => eprintln!("{}", telemetry::global().report().to_json()),
-        TelemetryMode::Pretty => eprint!("{}", telemetry::global().report().to_pretty()),
-    }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+                .into(),
+        ),
+    })
 }

@@ -1,19 +1,60 @@
-//! Shared command-line option parsing for the `archx` CLI and the
-//! benchmark binaries.
+//! The one command-line front end shared by the `archx` CLI and every
+//! experiment binary.
 //!
-//! Every front end speaks the same dialect — `key=value` arguments, a few
-//! GNU-style flags (`--jobs N`, `--threads N`, `--journal PATH`, …) that
-//! normalise to `key=value`, a `--telemetry json|pretty|off` switch, and
-//! comma-separated method/seed lists — so the parsing lives here once
-//! instead of being copy-pasted per binary.
+//! Each binary's `main` is a single call to [`run`], so every front end
+//! speaks the same dialect: `key=value` arguments, a few GNU-style flags
+//! (`--jobs N`, `--threads N`, `--journal PATH`, …) that normalise to
+//! `key=value`, a `--telemetry json|pretty|off` switch (also spelled
+//! `telemetry=MODE`), and comma-separated method/seed lists. A malformed
+//! value is an `error: …` line on stderr and exit code 1, never a panic
+//! or a silent default.
 
-use archx_dse::campaign::Method;
+use archx_dse::campaign::{Method, ParallelConfig};
 use archx_workloads::{spec06_suite, spec17_suite, Workload};
 use std::collections::HashMap;
+use std::process::ExitCode;
+
+/// Runs one command-line program: extracts the telemetry mode, normalises
+/// the GNU flags, disables the global telemetry registry when the mode is
+/// `off`, parses the `key=value` arguments and hands the normalised
+/// argument list (positionals included) and the key/value map to `body`.
+/// Afterwards the telemetry report goes to stderr, and an `Err` from any
+/// step becomes an `error: …` line and exit code 1.
+pub fn run(
+    body: impl FnOnce(&[String], &HashMap<String, String>) -> Result<(), String>,
+) -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    match run_with(&raw, body) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_with(
+    raw: &[String],
+    body: impl FnOnce(&[String], &HashMap<String, String>) -> Result<(), String>,
+) -> Result<(), String> {
+    let (args, mode) = extract_telemetry(raw)?;
+    let args = normalize_flags(&args)?;
+    let registry = archx_telemetry::global();
+    if mode == TelemetryMode::Off {
+        registry.set_enabled(false);
+    }
+    let result = body(&args, &parse_kv(&args));
+    match mode {
+        TelemetryMode::Off => {}
+        TelemetryMode::Json => eprintln!("{}", registry.report().to_json()),
+        TelemetryMode::Pretty => eprint!("{}", registry.report().to_pretty()),
+    }
+    result
+}
 
 /// Collects `key=value` arguments into a map; other arguments are ignored
 /// (positional commands are handled by the caller).
-pub fn parse_kv(args: &[String]) -> HashMap<String, String> {
+fn parse_kv(args: &[String]) -> HashMap<String, String> {
     args.iter()
         .filter_map(|a| {
             a.split_once('=')
@@ -26,7 +67,7 @@ pub fn parse_kv(args: &[String]) -> HashMap<String, String> {
 /// `--retries N`, `--jobs N`, `--threads N`, `--designs N`, `--seed N`,
 /// `--window N`, `--report PATH` and `--inject FAULT` (including their
 /// `--flag=value` forms) into the CLI's native `key=value` arguments.
-pub fn normalize_flags(args: &[String]) -> Result<Vec<String>, String> {
+fn normalize_flags(args: &[String]) -> Result<Vec<String>, String> {
     const FLAGS: [(&str, &str); 11] = [
         ("--journal", "journal"),
         ("--resume", "resume"),
@@ -63,7 +104,7 @@ pub fn normalize_flags(args: &[String]) -> Result<Vec<String>, String> {
 
 /// How a front end renders the telemetry report after its command runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TelemetryMode {
+enum TelemetryMode {
     /// Collection disabled; nothing printed.
     Off,
     /// Machine-readable JSON on stderr.
@@ -74,7 +115,7 @@ pub enum TelemetryMode {
 
 impl TelemetryMode {
     /// Parses `json`, `pretty` or `off`.
-    pub fn parse(text: &str) -> Result<Self, String> {
+    fn parse(text: &str) -> Result<Self, String> {
         match text {
             "off" => Ok(TelemetryMode::Off),
             "json" => Ok(TelemetryMode::Json),
@@ -89,7 +130,7 @@ impl TelemetryMode {
 /// Extracts `--telemetry MODE` / `--telemetry=MODE` / `telemetry=MODE`
 /// from the argument list, returning the remaining arguments and the mode
 /// (default [`TelemetryMode::Off`]).
-pub fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode), String> {
+fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut mode = TelemetryMode::Off;
     let mut it = args.iter();
@@ -133,6 +174,14 @@ pub fn get<T: std::str::FromStr>(
     default: T,
 ) -> Result<T, String> {
     Ok(get_opt(kv, key)?.unwrap_or(default))
+}
+
+/// Campaign parallelism from `jobs=N` (default 1) and `threads=N`
+/// (default: enough for the jobs, and at least the default thread count).
+pub fn parallel(kv: &HashMap<String, String>) -> Result<ParallelConfig, String> {
+    let mut parallel = ParallelConfig::with_jobs(get(kv, "jobs", 1)?);
+    parallel.total_threads = get(kv, "threads", parallel.total_threads)?.max(1);
+    Ok(parallel)
 }
 
 /// Parses one method name (`archexplorer`, `random`, `adaboost`,

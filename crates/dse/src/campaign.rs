@@ -147,7 +147,8 @@ pub fn build_evaluator_in(
 /// resumable campaigns, where the evaluator was warm-started from a
 /// journal (and keeps journaling) before the search begins. The search is
 /// deterministic given `seed`, so a warm-started evaluator replays the
-/// journaled prefix from cache and spends simulations only past it.
+/// journaled prefix from the journal, records the same log as an
+/// uninterrupted run and simulates only past the prefix.
 pub fn run_method_on(
     method: Method,
     space: &DesignSpace,

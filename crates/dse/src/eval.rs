@@ -247,6 +247,7 @@ pub struct Evaluator {
     retries: AtomicU64,
     cache: Mutex<HashMap<MicroArch, Result<DesignEval, EvalFailure>>>,
     quarantine: Mutex<Vec<QuarantineEntry>>,
+    replay: Mutex<Vec<JournalRecord>>,
     journal: Mutex<Option<Journal>>,
     journal_error: Mutex<Option<String>>,
     progress: Mutex<ProgressMeta>,
@@ -305,6 +306,7 @@ impl Evaluator {
             retries: AtomicU64::new(0),
             cache: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
+            replay: Mutex::new(Vec::new()),
             journal: Mutex::new(None),
             journal_error: Mutex::new(None),
             progress: Mutex::new(ProgressMeta::default()),
@@ -322,7 +324,8 @@ impl Evaluator {
     }
 
     /// Simulations performed so far (one per workload per attempt on
-    /// every uncached design, failures included).
+    /// every uncached design, failures included; a design replayed from
+    /// the journal charges what it cost when it was journaled).
     pub fn sim_count(&self) -> u64 {
         self.sims.load(Ordering::Relaxed)
     }
@@ -367,29 +370,16 @@ impl Evaluator {
         lock(&self.journal_error).clone()
     }
 
-    /// Replays journaled evaluations into the cache and the simulation
-    /// counter, so a resumed deterministic search spends budget only past
-    /// the replayed prefix. Returns the simulations replayed.
+    /// Holds journaled evaluations for replay. A held record that serves
+    /// a later cache miss stands in for its simulation: its outcome is
+    /// cached, quarantined and reported exactly as a simulated one, and
+    /// its `sims_cost` is charged at that point, so a resumed
+    /// deterministic search records the same log as an uninterrupted
+    /// one. Returns the simulations the records had spent.
     pub fn warm_start(&self, records: Vec<JournalRecord>) -> u64 {
-        let replayed = records.len() as u64;
-        let mut sims = 0u64;
-        {
-            let mut cache = lock(&self.cache);
-            for rec in records {
-                sims += rec.sims_cost;
-                if let Err(failure) = &rec.outcome {
-                    lock(&self.quarantine).push(QuarantineEntry {
-                        arch: rec.arch,
-                        workload: failure.workload.clone(),
-                        error: failure.error.clone(),
-                        attempts: failure.attempts,
-                    });
-                }
-                cache.insert(rec.arch, rec.outcome);
-            }
-        }
-        self.sims.fetch_add(sims, Ordering::Relaxed);
-        telemetry::counter_add("journal/replayed", replayed);
+        telemetry::counter_add("journal/replayed", records.len() as u64);
+        let sims = records.iter().map(|rec| rec.sims_cost).sum();
+        lock(&self.replay).extend(records);
         sims
     }
 
@@ -432,37 +422,55 @@ impl Evaluator {
         arch: &MicroArch,
         analysis: Analysis,
     ) -> Result<DesignEval, EvalFailure> {
-        if let Some(hit) = lock(&self.cache).get(arch) {
-            match hit {
-                Ok(eval) if analysis == Analysis::None || eval.analysis == analysis => {
-                    telemetry::counter_add("eval/cache/hit", 1);
-                    return Ok(eval.clone());
-                }
-                Err(failure) => {
-                    telemetry::counter_add("eval/cache/hit", 1);
-                    telemetry::counter_add("eval/cache/quarantined_hit", 1);
-                    return Err(failure.clone());
-                }
-                Ok(_) => {}
+        if let Some(hit) = lock(&self.cache)
+            .get(arch)
+            .filter(|hit| serves(hit, analysis))
+        {
+            telemetry::counter_add("eval/cache/hit", 1);
+            if hit.is_err() {
+                telemetry::counter_add("eval/cache/quarantined_hit", 1);
             }
+            return hit.clone();
         }
         telemetry::counter_add("eval/cache/miss", 1);
-        let sims_before = self.sim_count();
-        let outcome = self.evaluate_uncached(arch, analysis);
-        let sims_cost = self.sim_count() - sims_before;
-        if let Err(failure) = &outcome {
-            lock(&self.quarantine).push(QuarantineEntry {
-                arch: *arch,
-                workload: failure.workload.clone(),
-                error: failure.error.clone(),
-                attempts: failure.attempts,
-            });
-            telemetry::counter_add("eval/quarantine", 1);
-            telemetry::counter_add(&format!("eval/failure/{}", failure.error.tag()), 1);
+        let outcome = match self.take_replay(arch, analysis) {
+            Some(rec) => {
+                self.sims.fetch_add(rec.sims_cost, Ordering::Relaxed);
+                rec.outcome
+            }
+            None => {
+                let sims_before = self.sim_count();
+                let outcome = self.evaluate_uncached(arch, analysis);
+                let sims_cost = self.sim_count() - sims_before;
+                self.journal_append(arch, analysis, sims_cost, &outcome);
+                outcome
+            }
+        };
+        match &outcome {
+            Ok(eval) => self.emit_progress(eval.ppa),
+            Err(failure) => {
+                lock(&self.quarantine).push(QuarantineEntry {
+                    arch: *arch,
+                    workload: failure.workload.clone(),
+                    error: failure.error.clone(),
+                    attempts: failure.attempts,
+                });
+                telemetry::counter_add("eval/quarantine", 1);
+                telemetry::counter_add(&format!("eval/failure/{}", failure.error.tag()), 1);
+            }
         }
         lock(&self.cache).insert(*arch, outcome.clone());
-        self.journal_append(arch, analysis, sims_cost, &outcome);
         outcome
+    }
+
+    /// Removes and returns the first held journal record for `arch` that
+    /// serves a request for `analysis`.
+    fn take_replay(&self, arch: &MicroArch, analysis: Analysis) -> Option<JournalRecord> {
+        let mut replay = lock(&self.replay);
+        let i = replay
+            .iter()
+            .position(|rec| rec.arch == *arch && serves(&rec.outcome, analysis))?;
+        Some(replay.remove(i))
     }
 
     fn journal_append(
@@ -502,10 +510,7 @@ impl Evaluator {
             // each trace: retries halve the window.
             let divisor = 1usize << (attempts - 1).min(16);
             match self.attempt(arch, analysis, divisor) {
-                Ok(eval) => {
-                    self.emit_progress(eval.ppa);
-                    return Ok(eval);
-                }
+                Ok(eval) => return Ok(eval),
                 Err((workload, error)) => {
                     if error.retryable() && attempts <= self.max_retries {
                         telemetry::counter_add("eval/retry", 1);
@@ -689,6 +694,16 @@ impl Evaluator {
         if let Some(sink) = sink {
             sink.on_progress(&event);
         }
+    }
+}
+
+/// Whether a known outcome answers a request for `analysis`: a failure
+/// always does (quarantine is a property of the design), a success does
+/// when it carries the requested analysis or none was requested.
+fn serves(outcome: &Result<DesignEval, EvalFailure>, analysis: Analysis) -> bool {
+    match outcome {
+        Ok(eval) => analysis == Analysis::None || eval.analysis == analysis,
+        Err(_) => true,
     }
 }
 
@@ -959,19 +974,26 @@ mod tests {
         assert_eq!(ev.sim_count(), 4);
         assert!(ev.journal_error().is_none());
 
-        // A fresh evaluator resumes from the journal: same results, same
-        // budget position, zero new simulations.
+        // A fresh evaluator resumes from the journal: same results, and
+        // each replayed design charges its journaled cost when requested,
+        // so the budget advances as in the original run.
         let ev2 = small_eval();
         let (journal2, records) = Journal::resume(&path, &ev2.fingerprint(Vec::new())).unwrap();
         assert_eq!(records.len(), 2);
         ev2.set_journal(journal2);
-        ev2.warm_start(records);
-        assert_eq!(ev2.sim_count(), 4, "budget replays from the journal");
-        let ra = ev2.evaluate(&a).expect("cached");
-        let rb = ev2.evaluate_with(&b, Analysis::NewDeg).expect("cached");
+        assert_eq!(ev2.warm_start(records), 4, "the journal spent 4 sims");
+        assert_eq!(ev2.sim_count(), 0, "nothing is charged before use");
+        let ra = ev2.evaluate(&a).expect("replayed");
+        assert_eq!(ev2.sim_count(), 2, "the first replay charges its cost");
+        let rb = ev2.evaluate_with(&b, Analysis::NewDeg).expect("replayed");
         assert_eq!(ra, ea);
         assert_eq!(rb, eb);
         assert_eq!(ev2.sim_count(), 4, "no re-simulation after warm start");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap().lines().count(),
+            3,
+            "replayed records are not journaled again"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

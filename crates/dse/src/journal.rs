@@ -262,90 +262,28 @@ fn header_to_json(fp: &JournalFingerprint) -> JsonValue {
     ])
 }
 
+/// Compares the stored header key by key against the one `fp` would
+/// write; the first differing key is the mismatch, with both values
+/// rendered as JSON.
 fn check_header(header: &JsonValue, fp: &JournalFingerprint) -> Result<(), JournalError> {
-    let mismatch = |field: &str, expected: String, found: String| JournalError::Mismatch {
-        field: field.to_string(),
-        expected,
-        found,
-    };
     if header.get("archx_journal").is_none() {
         return Err(JournalError::Corrupt {
             line: 1,
             message: "not an archx journal (missing `archx_journal` field)".into(),
         });
     }
-    let found_workloads: Vec<String> = match header.get("workloads") {
-        Some(JsonValue::Arr(items)) => items
-            .iter()
-            .filter_map(|v| match v {
-                JsonValue::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
+    let JsonValue::Obj(expected) = header_to_json(fp) else {
+        unreachable!("headers are JSON objects")
     };
-    if found_workloads != fp.workloads {
-        return Err(mismatch(
-            "workloads",
-            format!("{:?}", fp.workloads),
-            format!("{found_workloads:?}"),
-        ));
-    }
-    let int_field = |key: &str| -> Option<u64> {
-        match header.get(key) {
-            Some(JsonValue::Int(n)) => Some(*n),
-            _ => None,
-        }
-    };
-    let checks: [(&str, Option<u64>, Option<u64>); 3] = [
-        (
-            "instrs_per_workload",
-            int_field("instrs_per_workload"),
-            Some(fp.instrs_per_workload as u64),
-        ),
-        ("trace_seed", int_field("trace_seed"), Some(fp.trace_seed)),
-        (
-            "deadlock_watchdog",
-            int_field("deadlock_watchdog"),
-            Some(fp.deadlock_watchdog),
-        ),
-    ];
-    for (field, found, expected) in checks {
-        if found != expected {
-            return Err(mismatch(
+    for (field, want) in expected {
+        let found = header.get(&field);
+        if found != Some(&want) {
+            return Err(JournalError::Mismatch {
                 field,
-                format!("{expected:?}"),
-                format!("{found:?}"),
-            ));
+                expected: want.render(),
+                found: found.map_or_else(|| "missing".to_string(), JsonValue::render),
+            });
         }
-    }
-    let found_budget = match header.get("cycle_budget") {
-        Some(JsonValue::Int(n)) => Some(*n),
-        _ => None,
-    };
-    if found_budget != fp.cycle_budget {
-        return Err(mismatch(
-            "cycle_budget",
-            format!("{:?}", fp.cycle_budget),
-            format!("{found_budget:?}"),
-        ));
-    }
-    let found_extra: Vec<(String, String)> = match header.get("extra") {
-        Some(JsonValue::Obj(pairs)) => pairs
-            .iter()
-            .filter_map(|(k, v)| match v {
-                JsonValue::Str(s) => Some((k.clone(), s.clone())),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    if found_extra != fp.extra {
-        return Err(mismatch(
-            "extra",
-            format!("{:?}", fp.extra),
-            format!("{found_extra:?}"),
-        ));
     }
     Ok(())
 }
@@ -665,11 +603,34 @@ mod tests {
         {
             Journal::create(&path, &fp()).unwrap();
         }
-        let mut other = fp();
-        other.trace_seed = 8;
-        match Journal::resume(&path, &other) {
-            Err(JournalError::Mismatch { field, .. }) => assert_eq!(field, "trace_seed"),
-            other => panic!("expected mismatch, got {other:?}"),
+        let changed = |change: fn(&mut JournalFingerprint)| {
+            let mut other = fp();
+            change(&mut other);
+            other
+        };
+        let cases = [
+            ("workloads", changed(|f| f.workloads.reverse())),
+            (
+                "instrs_per_workload",
+                changed(|f| f.instrs_per_workload += 1),
+            ),
+            ("trace_seed", changed(|f| f.trace_seed = 8)),
+            ("cycle_budget", changed(|f| f.cycle_budget = None)),
+            ("deadlock_watchdog", changed(|f| f.deadlock_watchdog += 1)),
+            ("extra", changed(|f| f.extra[0].1 = "ArchExplorer".into())),
+        ];
+        for (field, other) in cases {
+            match Journal::resume(&path, &other) {
+                Err(JournalError::Mismatch {
+                    field: found_field,
+                    expected,
+                    found,
+                }) => {
+                    assert_eq!(found_field, field);
+                    assert_ne!(expected, found, "{field}: values must differ");
+                }
+                other => panic!("{field}: expected mismatch, got {other:?}"),
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

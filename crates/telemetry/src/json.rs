@@ -1,10 +1,10 @@
-//! Minimal JSON emit/parse for telemetry reports.
+//! Minimal JSON emit/parse.
 //!
 //! The telemetry crate is dependency-free by design, so it carries its
 //! own small JSON value type: enough to render a [`Report`] and to parse
-//! one back (round-trips exactly — counters and timers are integers).
+//! the evaluation journal's records back.
 
-use crate::registry::{HistogramStat, Report, TimerStat};
+use crate::registry::Report;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -113,14 +113,6 @@ impl JsonValue {
         }
     }
 
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Int(n) => Some(*n),
-            JsonValue::Float(x) if x.fract() == 0.0 && *x >= 0.0 => Some(*x as u64),
-            _ => None,
-        }
-    }
-
     /// Builds the JSON tree of a report.
     pub fn from_report(report: &Report) -> JsonValue {
         let counters = JsonValue::Obj(
@@ -182,62 +174,6 @@ impl JsonValue {
             ("timers".into(), timers),
             ("histograms".into(), histograms),
         ])
-    }
-
-    /// Reconstructs a report from [`JsonValue::from_report`]'s shape.
-    pub fn into_report(self) -> Result<Report, JsonError> {
-        let field = |v: &JsonValue, key: &str| -> Result<u64, JsonError> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| err(0, format!("missing integer field `{key}`")))
-        };
-        let mut report = Report::default();
-        if let Some(JsonValue::Obj(pairs)) = self.get("counters") {
-            for (name, v) in pairs {
-                let v = v.as_u64().ok_or_else(|| err(0, "counter not an integer"))?;
-                report.counters.push((name.clone(), v));
-            }
-        }
-        if let Some(JsonValue::Obj(pairs)) = self.get("timers") {
-            for (name, v) in pairs {
-                report.timers.push(TimerStat {
-                    name: name.clone(),
-                    count: field(v, "count")?,
-                    total_ns: field(v, "total_ns")?,
-                    max_ns: field(v, "max_ns")?,
-                });
-            }
-        }
-        if let Some(JsonValue::Obj(pairs)) = self.get("histograms") {
-            for (name, v) in pairs {
-                let mut buckets = Vec::new();
-                if let Some(JsonValue::Arr(items)) = v.get("buckets") {
-                    for item in items {
-                        match item {
-                            JsonValue::Arr(pair) if pair.len() == 2 => {
-                                let upper = pair[0]
-                                    .as_u64()
-                                    .ok_or_else(|| err(0, "bucket bound not an integer"))?;
-                                let count = pair[1]
-                                    .as_u64()
-                                    .ok_or_else(|| err(0, "bucket count not an integer"))?;
-                                buckets.push((upper, count));
-                            }
-                            _ => return Err(err(0, "bucket entry not a pair")),
-                        }
-                    }
-                }
-                report.histograms.push(HistogramStat {
-                    name: name.clone(),
-                    count: field(v, "count")?,
-                    sum: field(v, "sum")?,
-                    min: field(v, "min")?,
-                    max: field(v, "max")?,
-                    buckets,
-                });
-            }
-        }
-        Ok(report)
     }
 }
 
@@ -451,29 +387,5 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("12 34").is_err());
         assert!(JsonValue::parse("\"open").is_err());
-    }
-
-    #[test]
-    fn report_survives_json_round_trip() {
-        let report = Report {
-            counters: vec![("dse/iteration".into(), 17), ("eval/cache/hit".into(), 3)],
-            timers: vec![TimerStat {
-                name: "eval/simulate".into(),
-                count: 5,
-                total_ns: 123_456_789,
-                max_ns: 99_999_999,
-            }],
-            histograms: vec![HistogramStat {
-                name: "eval/sim_latency_us".into(),
-                count: 5,
-                sum: 1234,
-                min: 7,
-                max: 900,
-                buckets: vec![(7, 1), (255, 2), (1023, 2)],
-            }],
-        };
-        let json = report.to_json();
-        let back = Report::from_json(&json).expect("parses");
-        assert_eq!(back, report);
     }
 }

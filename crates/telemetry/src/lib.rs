@@ -16,8 +16,8 @@
 //!   budget, current hypervolume, best `Perf²/(Power·Area)`) and the
 //!   [`ProgressSink`] trait an evaluator delivers it to.
 //! - **Reports** — a point-in-time [`Report`] snapshot that renders as
-//!   machine-readable JSON (with a bundled parser for round-trips) or an
-//!   aligned human-readable table (the CLI's `--telemetry json|pretty`).
+//!   machine-readable JSON or an aligned human-readable table (every
+//!   binary's `--telemetry json|pretty`).
 //!
 //! Most call sites use the process-global registry through the free
 //! functions below; tests build private [`Registry`] instances.
@@ -33,8 +33,8 @@
 //! let report = telemetry::global().report();
 //! assert!(report.counter("demo/widgets") >= 3);
 //! let json = report.to_json();
-//! let back = telemetry::Report::from_json(&json).unwrap();
-//! assert_eq!(report.counter("demo/widgets"), back.counter("demo/widgets"));
+//! assert!(json.starts_with(r#"{"counters":{"#));
+//! assert!(json.contains(r#""demo/widgets":"#));
 //! ```
 
 mod json;

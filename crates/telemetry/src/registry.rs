@@ -1,7 +1,7 @@
 //! The metrics registry: counters, hierarchical span timers, histograms,
 //! and report snapshots.
 
-use crate::json::{JsonError, JsonValue};
+use crate::json::JsonValue;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -436,11 +436,6 @@ impl Report {
     /// Machine-readable single-line JSON.
     pub fn to_json(&self) -> String {
         JsonValue::from_report(self).render()
-    }
-
-    /// Parses a report back from [`Report::to_json`] output.
-    pub fn from_json(text: &str) -> Result<Report, JsonError> {
-        JsonValue::parse(text)?.into_report()
     }
 
     /// Aligned human-readable rendering.

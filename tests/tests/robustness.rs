@@ -119,68 +119,73 @@ fn mixed_campaign_quarantines_failures_and_keeps_searching() {
 #[test]
 fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
     let dir = temp_dir("resume");
-    let full_path = dir.join("full.jsonl");
-    let killed_path = dir.join("killed.jsonl");
     let budget = 24;
+    let space = DesignSpace::table4();
+    for m in Method::ALL {
+        let full_path = dir.join(format!("{m}-full.jsonl"));
+        let killed_path = dir.join(format!("{m}-killed.jsonl"));
+        let fresh = || build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
+        let resume = |ev: &Evaluator, path: &PathBuf| {
+            Journal::resume(
+                path,
+                &ev.fingerprint(vec![("method".into(), m.to_string())]),
+            )
+            .expect("resume journal")
+        };
 
-    // Reference campaign, journaled to completion.
-    let ev_full = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
-    let fp = ev_full.fingerprint(vec![("method".into(), "Random".into())]);
-    ev_full.set_journal(Journal::create(&full_path, &fp).expect("create journal"));
-    let log_full = run_method_on(Method::Random, &DesignSpace::table4(), &ev_full, budget, 9);
-    assert!(ev_full.journal_error().is_none());
-    let sims_full = ev_full.sim_count();
-    let frontier_full = log_full.frontier();
+        // Reference campaign, journaled to completion.
+        let ev_full = fresh();
+        let fp = ev_full.fingerprint(vec![("method".into(), m.to_string())]);
+        ev_full.set_journal(Journal::create(&full_path, &fp).expect("create journal"));
+        let log_full = run_method_on(m, &space, &ev_full, budget, 9);
+        assert!(ev_full.journal_error().is_none());
+        let sims_full = ev_full.sim_count();
 
-    // Simulate a mid-campaign kill: keep the header and the first half of
-    // the evaluation records.
-    let text = std::fs::read_to_string(&full_path).expect("journal readable");
-    let lines: Vec<&str> = text.lines().collect();
-    let records_written = lines.len() - 1;
-    assert!(
-        records_written >= 4,
-        "campaign should journal several designs"
-    );
-    let keep = 1 + records_written / 2;
-    let mut truncated: String = lines[..keep].join("\n");
-    truncated.push('\n');
-    std::fs::write(&killed_path, truncated).expect("write truncated journal");
+        // Simulate a mid-campaign kill: keep the header and the first half
+        // of the evaluation records.
+        let text = std::fs::read_to_string(&full_path).expect("journal readable");
+        let lines: Vec<&str> = text.lines().collect();
+        let records_written = lines.len() - 1;
+        assert!(
+            records_written >= 4,
+            "{m}: campaign should journal several designs"
+        );
+        let keep = 1 + records_written / 2;
+        let mut truncated: String = lines[..keep].join("\n");
+        truncated.push('\n');
+        std::fs::write(&killed_path, truncated).expect("write truncated journal");
 
-    // Resume: journaled designs replay from the journal (no simulation),
-    // the budget picks up where the kill left off, and the deterministic
-    // search reaches the same frontier.
-    let ev_res = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
-    let (journal, records) = Journal::resume(
-        &killed_path,
-        &ev_res.fingerprint(vec![("method".into(), "Random".into())]),
-    )
-    .expect("resume journal");
-    assert_eq!(records.len(), keep - 1);
-    let warm = ev_res.warm_start(records);
-    assert_eq!(warm, (keep as u64 - 1) * 2, "2 sims per journaled design");
-    assert!(warm < sims_full, "the kill must leave budget unspent");
-    ev_res.set_journal(journal);
-    let log_res = run_method_on(Method::Random, &DesignSpace::table4(), &ev_res, budget, 9);
-    assert!(ev_res.journal_error().is_none());
+        // Resume: journaled designs replay from the journal (no
+        // simulation), each charging its journaled cost when the search
+        // reaches it, so the deterministic search records the identical
+        // log, budget positions included.
+        let ev_res = fresh();
+        let (journal, records) = resume(&ev_res, &killed_path);
+        assert_eq!(records.len(), keep - 1);
+        let warm = ev_res.warm_start(records);
+        assert!(warm < sims_full, "{m}: the kill must leave budget unspent");
+        ev_res.set_journal(journal);
+        let log_res = run_method_on(m, &space, &ev_res, budget, 9);
+        assert!(ev_res.journal_error().is_none());
+        assert_eq!(log_res, log_full, "{m}: resumed log differs");
+        assert_eq!(ev_res.sim_count(), sims_full);
 
-    // Same frontier, and the total simulation count matches the
-    // uninterrupted run: the replayed prefix cost zero new simulations.
-    assert_eq!(log_res.frontier(), frontier_full);
-    assert_eq!(ev_res.sim_count(), sims_full);
-    let best_full = log_full.best_tradeoff().expect("non-empty").ppa;
-    let best_res = log_res.best_tradeoff().expect("non-empty").ppa;
-    assert_eq!(best_full, best_res);
-
-    // The resumed journal now covers the whole campaign: resuming it
-    // again replays everything and simulates nothing.
-    let ev_done = build_evaluator_in(&suite(), &cfg(budget), TraceStore::global());
-    let (_, records) = Journal::resume(
-        &killed_path,
-        &ev_done.fingerprint(vec![("method".into(), "Random".into())]),
-    )
-    .expect("second resume");
-    assert_eq!(ev_done.warm_start(records), sims_full);
-
+        // The resumed journal now covers the whole campaign: resuming it
+        // again replays everything, simulates nothing and still records
+        // the full log.
+        let ev_done = fresh();
+        let (journal, records) = resume(&ev_done, &killed_path);
+        assert_eq!(ev_done.warm_start(records), sims_full);
+        ev_done.set_journal(journal);
+        let log_done = run_method_on(m, &space, &ev_done, budget, 9);
+        assert_eq!(log_done, log_full, "{m}: complete-journal replay differs");
+        assert_eq!(ev_done.sim_count(), sims_full);
+        assert_eq!(
+            std::fs::read_to_string(&killed_path).expect("journal readable"),
+            text,
+            "{m}: replaying records neither loses nor repeats any"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
